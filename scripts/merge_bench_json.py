@@ -117,15 +117,10 @@ def merge(input_paths, prior_path=None, profile_path=None):
                 "items_per_s": bench.get("items_per_second"),
                 "threads": int(match.group(1)) if match else 1,
             }
-            # Calendar-regime counters (bench_event_queue publishes its
-            # CalendarDebugStats as cal_* user counters): carried verbatim
-            # so BENCH_perf.json records *which* queue regime a row
-            # exercised — a perf delta can then be read against a regime
-            # shift (rewindow storm, ladder spill change) instead of guessed.
             # srv_* counters are the planning-service rows (queries/s
-            # through the router and the loopback server).
+            # through the router and the loopback server): carried verbatim.
             for key, value in bench.items():
-                if key.startswith(("cal_", "srv_")):
+                if key.startswith("srv_"):
                     row[key] = value
             entries.append(row)
 

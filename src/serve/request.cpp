@@ -148,7 +148,7 @@ bool read_word(const JsonValue& obj, string_view key,
         if (!options.empty()) {
             options += ", ";
         }
-        options += "\"" + std::string(word) + "\"";
+        options.append("\"").append(word).append("\"");
     }
     fail(error, error_code::kBadRequest,
          "member \"" + std::string(key) + "\" must be one of " + options);

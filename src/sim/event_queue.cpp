@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -46,18 +47,25 @@ void EventQueue::release_slot(std::uint32_t index) noexcept {
     free_head_ = index;
 }
 
+EventQueue::Entry EventQueue::pop_top() {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Entry entry = heap_.back();
+    heap_.pop_back();
+    return entry;
+}
+
 void EventQueue::reposition() {
-    const CalendarEntry* head = calendar_.peek();
-    while (head != nullptr && !meta_[head->slot].live) {
-        release_slot(calendar_.pop().slot);
-        head = calendar_.peek();
+    while (!heap_.empty() && !meta_[heap_.front().slot].live) {
+        release_slot(pop_top().slot);
     }
-    next_when_ = head != nullptr ? head->when : -1.0;
-    if (head != nullptr) {
-        // The next dispatch will read this action; warming the line here
-        // overlaps the miss with whatever runs between now and then.
-        __builtin_prefetch(&actions_[head->slot]);
+    if (heap_.empty()) {
+        next_when_ = -1.0;
+        return;
     }
+    next_when_ = heap_.front().when;
+    // The next dispatch will read this action; warming the line here
+    // overlaps the miss with whatever runs between now and then.
+    __builtin_prefetch(&actions_[heap_.front().slot]);
 }
 
 EventId EventQueue::schedule_at(SimTime when, EventFn action) {
@@ -66,7 +74,8 @@ EventId EventQueue::schedule_at(SimTime when, EventFn action) {
     const std::uint32_t slot = acquire_slot();
     actions_[slot] = std::move(action);
     meta_[slot].live = true;
-    calendar_.push(CalendarEntry{when, next_seq_++, slot});
+    heap_.push_back(Entry{when, next_seq_++, slot});
+    std::push_heap(heap_.begin(), heap_.end(), later);
     ++live_events_;
     // The new entry is live, so the cached head only ever moves earlier.
     if (next_when_ < 0.0 || when < next_when_) {
@@ -97,14 +106,12 @@ bool EventQueue::run_next() {
     // Inclusive of the dispatched action: "event dispatch" is the pop plus
     // whatever handler work the event triggers.
     SWARMAVAIL_PROF_SCOPE("sim.event_dispatch");
-    // reposition() left the calendar head on a live entry, so this peek is
-    // the O(1) fast path (or first-time positioning after pushes).
-    const CalendarEntry entry = *calendar_.peek();
+    // Every mutator leaves a live entry on the heap top.
     if (audit_) {
-        audit::check_monotone_time(now_, entry.when);
+        audit::check_monotone_time(now_, heap_.front().when);
         audit_bookkeeping();
     }
-    calendar_.pop();
+    const Entry entry = pop_top();
     EventFn action = std::move(actions_[entry.slot]);
     release_slot(entry.slot);
     --live_events_;
@@ -126,7 +133,8 @@ void EventQueue::run_until(SimTime horizon) {
 }
 
 void EventQueue::audit_bookkeeping() const {
-    calendar_.audit_structure();
+    SWARMAVAIL_INVARIANT(std::is_heap(heap_.begin(), heap_.end(), later),
+                         "EventQueue: heap property violated");
     // Every live slot is counted exactly once by live_events_.
     std::size_t live_slots = 0;
     for (const SlotMeta& meta : meta_) {
@@ -136,43 +144,40 @@ void EventQueue::audit_bookkeeping() const {
     }
     SWARMAVAIL_INVARIANT(live_slots == live_events_,
                          "EventQueue: live-event count out of sync with the slab");
-    // Each calendar entry owns a distinct in-range slot; track the
+    // Each heap entry owns a distinct in-range slot; track the
     // (when, seq)-minimal live entry to validate the cached head.
     std::vector<bool> owned(meta_.size(), false);
-    std::size_t entry_count = 0;
-    CalendarEntry best{};
+    Entry best{};
     bool found_live = false;
-    calendar_.for_each_entry([&](const CalendarEntry& entry) {
-        SWARMAVAIL_INVARIANT(
-            entry.slot < meta_.size(),
-            "EventQueue: calendar entry references an out-of-range slot");
+    for (const Entry& entry : heap_) {
+        SWARMAVAIL_INVARIANT(entry.slot < meta_.size(),
+                             "EventQueue: heap entry references an out-of-range slot");
         SWARMAVAIL_INVARIANT(!owned[entry.slot],
-                             "EventQueue: two calendar entries share one slot");
+                             "EventQueue: two heap entries share one slot");
         owned[entry.slot] = true;
-        ++entry_count;
-        if (meta_[entry.slot].live &&
-            (!found_live || calendar_earlier(entry, best))) {
+        if (meta_[entry.slot].live && (!found_live || later(best, entry))) {
             best = entry;
             found_live = true;
         }
-    });
-    SWARMAVAIL_INVARIANT(entry_count == calendar_.entries(),
-                         "EventQueue: calendar entry count drifted");
-    // The free list and the calendar partition the slab.
+    }
+    // Eager head-drain: the top is live whenever the heap is non-empty.
+    SWARMAVAIL_INVARIANT(heap_.empty() || meta_[heap_.front().slot].live,
+                         "EventQueue: cancelled entry left on the heap top");
+    // The free list and the heap partition the slab.
     std::size_t free_slots = 0;
     for (std::uint32_t cursor = free_head_; cursor != kNoSlot;
          cursor = meta_[cursor].next_free) {
         SWARMAVAIL_INVARIANT(
             cursor < meta_.size() && !meta_[cursor].live && !owned[cursor],
-            "EventQueue: free list holds a live or calendar-owned slot");
+            "EventQueue: free list holds a live or heap-owned slot");
         ++free_slots;
         SWARMAVAIL_INVARIANT(free_slots <= meta_.size(),
                              "EventQueue: free list cycle detected");
     }
-    SWARMAVAIL_INVARIANT(entry_count + free_slots == meta_.size(),
-                         "EventQueue: calendar and free list do not partition the slab");
+    SWARMAVAIL_INVARIANT(heap_.size() + free_slots == meta_.size(),
+                         "EventQueue: heap and free list do not partition the slab");
     SWARMAVAIL_INVARIANT(found_live == (live_events_ > 0),
-                         "EventQueue: live events missing from the calendar");
+                         "EventQueue: live events missing from the heap");
     if (found_live) {
         SWARMAVAIL_INVARIANT(next_when_ == best.when,
                              "EventQueue: cached next_time out of sync");

@@ -1,27 +1,27 @@
 // Discrete-event simulation core: a time-ordered event queue with stable
 // FIFO ordering for simultaneous events and O(1) logical cancellation.
 //
-// Generation 3: scheduling runs on a calendar/ladder structure
-// (sim/calendar.hpp) instead of a binary heap -- O(1) amortized push/pop,
-// with same-timestamp runs dispatched back-to-back out of one sorted
-// bucket (no per-pop reordering work). Storage is split hot/cold: the
-// calendar holds POD {when, seq, slot} records and the slot metadata
+// Scheduling runs on a binary min-heap (std::push_heap/std::pop_heap) of
+// POD {when, seq, slot} records, ordered by time with the scheduling
+// sequence breaking ties. Storage is split hot/cold: the slot metadata
 // (liveness, generation, free list) lives in its own packed array, while
 // the SBO callbacks sit in a separate cold slab that the scheduling loop
 // only touches at dispatch. cancel() flips a bit in the hot metadata -- no
 // hash lookup anywhere on the schedule/pop path. Cancelled entries are
-// drained from the structure head eagerly, so the head is always a live
-// event and next_time() stays a const O(1) peek of a cached value.
+// drained from the heap top eagerly, so the top is always a live event and
+// next_time() stays a const O(1) peek of a cached value.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/calendar.hpp"
 #include "sim/fingerprint.hpp"
 #include "util/inplace_function.hpp"
 
 namespace swarmavail::sim {
+
+/// Simulation time in seconds.
+using SimTime = double;
 
 /// Handle identifying a scheduled event; used to cancel it. Encodes the
 /// slab slot and its generation, so a stale id (the event fired or its slot
@@ -32,10 +32,9 @@ using EventId = std::uint64_t;
 /// every simulator in this repo), heap fallback beyond that.
 using EventFn = InplaceFunction<void(), 48>;
 
-/// Calendar-queue event loop. Events scheduled for the same time fire in
+/// Binary-heap event loop. Events scheduled for the same time fire in
 /// scheduling order (sequence numbers break ties), which keeps simulations
-/// deterministic for a fixed RNG seed; the pop order is bit-identical to
-/// the generation-2 binary heap.
+/// deterministic for a fixed RNG seed.
 class EventQueue {
  public:
     /// Schedules `action` at absolute time `when` (must be finite and
@@ -43,7 +42,7 @@ class EventQueue {
     EventId schedule_at(SimTime when, EventFn action);
 
     /// Marks an event as cancelled and releases its callback immediately;
-    /// the calendar entry is dropped lazily. Cancelling an already-fired
+    /// the heap entry is dropped lazily. Cancelling an already-fired
     /// or unknown id is a no-op.
     void cancel(EventId id);
 
@@ -55,9 +54,9 @@ class EventQueue {
     void run_until(SimTime horizon);
 
     /// Enables the invariant-audit mode: every pop re-verifies that event
-    /// time is monotone and that the slab/calendar/free-list bookkeeping
-    /// (including bucket routing and ladder-horizon bounds) is consistent,
-    /// throwing CheckFailure on corruption. Off by default (zero overhead).
+    /// time is monotone and that the slab/heap/free-list bookkeeping
+    /// (including the heap property) is consistent, throwing CheckFailure
+    /// on corruption. Off by default (zero overhead).
     void set_audit(bool on) noexcept { audit_ = on; }
     [[nodiscard]] bool audit() const noexcept { return audit_; }
 
@@ -70,8 +69,8 @@ class EventQueue {
     [[nodiscard]] std::uint64_t dispatched() const noexcept { return dispatched_; }
 
     /// Time of the next live event, or a negative value if none is queued.
-    /// Pure peek: every mutator repositions the calendar on a live head
-    /// and refreshes this cache, so no draining (and no mutation) happens
+    /// Pure peek: every mutator leaves a live entry on the heap top and
+    /// refreshes this cache, so no draining (and no mutation) happens
     /// here.
     [[nodiscard]] SimTime next_time() const noexcept { return next_when_; }
 
@@ -85,16 +84,10 @@ class EventQueue {
     }
 #endif
 
-    /// Introspection counters of the calendar/ladder structure behind the
-    /// queue (rewindows, ladder spills, merges, max bucket occupancy).
-    [[nodiscard]] const CalendarDebugStats& calendar_stats() const noexcept {
-        return calendar_.debug_stats();
-    }
-
  private:
     /// Hot per-slot metadata, packed separately from the callbacks so
     /// liveness scans and free-list walks never page in payload storage.
-    /// A slot is owned by exactly one calendar entry from schedule to pop;
+    /// A slot is owned by exactly one heap entry from schedule to pop;
     /// `generation` invalidates stale EventIds once the slot is recycled.
     struct SlotMeta {
         std::uint32_t generation = 1;
@@ -102,17 +95,37 @@ class EventQueue {
         bool live = false;
     };
 
+    /// Hot scheduling record; the callback payload lives in `actions_`
+    /// under `slot`.
+    struct Entry {
+        SimTime when;        ///< absolute event time
+        std::uint64_t seq;   ///< global schedule order; breaks `when` ties
+        std::uint32_t slot;  ///< payload slot in the slab
+    };
+
+    /// Heap comparator: `a` is dispatched after `b` when it has a later
+    /// time, or an equal time and a later scheduling sequence. With it the
+    /// std heap algorithms keep the (when, seq)-minimal entry on top.
+    static bool later(const Entry& a, const Entry& b) noexcept {
+        if (a.when != b.when) {
+            return a.when > b.when;
+        }
+        return a.seq > b.seq;
+    }
+
     static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
     [[nodiscard]] std::uint32_t acquire_slot();
     void release_slot(std::uint32_t index) noexcept;
-    /// Pops cancelled entries off the calendar head so the head is always
-    /// live, and refreshes the next_time() cache.
+    /// Removes and returns the heap top.
+    Entry pop_top();
+    /// Pops cancelled entries off the heap top so the top is always live,
+    /// and refreshes the next_time() cache.
     void reposition();
-    /// Audit-mode full consistency check of slab vs calendar vs free list.
+    /// Audit-mode full consistency check of slab vs heap vs free list.
     void audit_bookkeeping() const;
 
-    CalendarLadder calendar_;        ///< hot POD scheduling records
+    std::vector<Entry> heap_;        ///< hot POD scheduling records
     std::vector<SlotMeta> meta_;     ///< hot slot metadata
     std::vector<EventFn> actions_;   ///< cold payload slab; touched at dispatch
     std::uint32_t free_head_ = kNoSlot;

@@ -3,7 +3,9 @@
 // cross-execution invariances the repo's determinism contract promises —
 // identical digests at every thread count, sharded == shared-queue — plus
 // the converse: a seed perturbation that changes the results must change
-// the digest.
+// the digest. The golden tests pin digests across commits: a change that
+// reorders any dispatched event (an event-queue rewrite, a tie-break slip)
+// moves them.
 #include "sim/fingerprint.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +18,9 @@
 #include "catalog/catalog_engine.hpp"
 #include "catalog/report.hpp"
 #include "sim/availability_sim.hpp"
+#include "sim/event_queue.hpp"
 #include "swarm/swarm_sim.hpp"
+#include "util/random.hpp"
 #include "util/stats.hpp"
 
 namespace swarmavail::sim {
@@ -276,6 +280,83 @@ TEST(FingerprintCatalog, RuntimeOffZeroesDigestsOnly) {
     }
     EXPECT_EQ(with.demand_weighted_unavailability,
               without.demand_weighted_unavailability);
+}
+
+// ---- golden digests ----------------------------------------------------------
+//
+// The tests above compare runs within one build. These pin fixed-seed
+// digests to recorded values, so a refactor that claims bit-identical
+// output must reproduce them exactly. Update a value only together with a
+// change that is meant to alter the simulated event stream.
+
+TEST(FingerprintGolden, TieHeavyQueueDigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    // The simulators draw continuous event times, so their runs below
+    // never exercise the tie-break. This schedule lands every event on a
+    // grid of eight instants and cancels some, so a queue that dispatched
+    // equal-time events out of scheduling order moves the digest.
+    EventQueue queue;
+    Fingerprint chain{7};
+    queue.set_fingerprint(&chain);
+    Rng rng{7};
+    std::vector<EventId> ids;
+    for (int i = 0; i < 4000; ++i) {
+        const SimTime when =
+            queue.now() + 0.5 * static_cast<double>(rng.uniform_index(8));
+        ids.push_back(queue.schedule_at(when, [] {}));
+        if (i % 7 == 3) {
+            queue.cancel(ids[rng.uniform_index(ids.size())]);
+        }
+        if (i % 2 == 1) {
+            ASSERT_TRUE(queue.run_next());
+        }
+    }
+    while (queue.run_next()) {
+    }
+    EXPECT_EQ(chain.digest(), 500853365490500479ULL);
+    EXPECT_EQ(chain.events(), 3741U);
+#endif
+}
+
+TEST(FingerprintGolden, SwarmSimDigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    const auto result = swarm::run_swarm_sim(swarm_config(21));
+    EXPECT_EQ(result.fingerprint, 8199231960268606422ULL);
+    EXPECT_EQ(result.fingerprint_events, 2461U);
+#endif
+}
+
+TEST(FingerprintGolden, CatalogSmokeDigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    // Same run as the CI catalog smoke: `catalog_bundling --files 50
+    // --policy none --horizon 1e4 --no-sweep --partitioned`.
+    catalog::CatalogConfig config;
+    config.num_files = 50;
+    config.zipf_exponent = 1.0;
+    config.aggregate_demand = 200.0 / 60.0 / 10.0;
+    config.file_size = 4.0e6 * 8.0;
+    config.download_rate = 50.0e3 * 8.0;
+    config.publisher_arrival_rate = 1.0 / 900.0;
+    config.publisher_residence = 300.0;
+    config.publishers = catalog::PublisherAssignment::kPartitionedBudget;
+    const auto cat = catalog::build_catalog(config);
+    const catalog::NoBundling policy;
+    catalog::CatalogEngineConfig engine;
+    engine.horizon = 1.0e4;
+    engine.seed = 42;
+    engine.policy = ParallelPolicy{2};
+    const auto sharded = catalog::run_catalog(cat, policy, engine);
+    EXPECT_EQ(sharded.fingerprint, 11803691400669175464ULL);
+    engine.execution = catalog::ExecutionMode::kSharedQueue;
+    const auto shared = catalog::run_catalog(cat, policy, engine);
+    EXPECT_EQ(shared.fingerprint, 11803691400669175464ULL);
+#endif
 }
 
 }  // namespace

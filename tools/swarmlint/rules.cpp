@@ -83,10 +83,10 @@ void check_det_rand(RuleContext& ctx) {
             return;
         }
         ctx.report("det-rand", line,
-                   "'" + std::string(name) +
+                   std::string("'").append(name).append(
                        "' bypasses the seeded Rng stream; draw randomness through "
                        "util/random (swarmavail::Rng) so one 64-bit seed fully "
-                       "determines a run");
+                       "determines a run"));
     });
 }
 
@@ -293,10 +293,10 @@ void check_det_env(RuleContext& ctx) {
             return;
         }
         ctx.report("det-env", line,
-                   "'" + std::string(name) +
+                   std::string("'").append(name).append(
                        "' makes results depend on the host environment or thread "
                        "identity; engine output must be a function of (config, "
-                       "seed) only");
+                       "seed) only"));
     });
 }
 
