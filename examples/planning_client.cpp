@@ -42,25 +42,23 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request.hpp"
 #include "serve/span.hpp"
+#include "stats_scrape.hpp"
+#include "util/json.hpp"
 
 namespace {
 
-using swarmavail::serve::FrameDecoder;
+using namespace stats_scrape;
 
 struct Options {
     int port = -1;
@@ -150,14 +148,14 @@ int parse_only(const std::string& path) {
             return 1;  // framing is unrecoverable once poisoned
         }
         ++frames;
-        if (!swarmavail::serve::validate_utf8(payload)) {
+        if (!swarmavail::validate_utf8(payload)) {
             std::cerr << "frame " << frames << ": payload is not valid UTF-8\n";
             ++failures;
             continue;
         }
-        swarmavail::serve::JsonValue value;
+        swarmavail::JsonValue value;
         std::string json_error;
-        if (!swarmavail::serve::parse_json(payload, value, &json_error)) {
+        if (!swarmavail::parse_json(payload, value, &json_error)) {
             std::cerr << "frame " << frames << ": " << json_error << "\n";
             ++failures;
             continue;
@@ -186,198 +184,16 @@ int parse_only(const std::string& path) {
     return failures == 0 ? 0 : 1;
 }
 
-int connect_to(int port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        return -1;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-bool send_all(int fd, std::string_view bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                                 MSG_NOSIGNAL);
-        if (n < 0) {
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/// Sends one request frame and reads one response payload.
-bool round_trip(int fd, FrameDecoder& decoder, const std::string& request,
-                std::string& response) {
-    if (!send_all(fd, swarmavail::serve::encode_frame(request))) {
-        return false;
-    }
-    std::string error;
-    char buffer[65536];
-    while (true) {
-        const FrameDecoder::Status status = decoder.next(response, error);
-        if (status == FrameDecoder::Status::kFrame) {
-            return true;
-        }
-        if (status == FrameDecoder::Status::kError) {
-            std::cerr << "planning_client: protocol error: " << error << "\n";
-            return false;
-        }
-        const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-        if (n <= 0) {
-            std::cerr << "planning_client: connection closed by server\n";
-            return false;
-        }
-        decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
-    }
-}
-
 /// True when the response says ok:true (cheap scan; responses are ours).
 bool response_ok(const std::string& response) {
     return response.find("\"ok\":true") != std::string::npos;
 }
 
-/// Fetches the STATS exposition text; false on transport/shape failure.
-bool fetch_stats(int fd, FrameDecoder& decoder, std::string& text) {
-    std::string response;
-    if (!round_trip(fd, decoder, "{\"verb\":\"STATS\"}", response)) {
-        return false;
-    }
-    swarmavail::serve::JsonValue value;
-    std::string error;
-    if (!swarmavail::serve::parse_json(response, value, &error)) {
-        std::cerr << "planning_client: unparseable response: " << error << "\n";
-        return false;
-    }
-    const auto* result = value.find("result");
-    const auto* prometheus =
-        result != nullptr ? result->find("prometheus") : nullptr;
-    if (prometheus == nullptr || !prometheus->is_string()) {
-        std::cerr << response << "\n";
-        return false;
-    }
-    text = prometheus->as_string();
-    return true;
-}
-
-// ---- STATS table rendering -------------------------------------------
-//
-// A deliberately small scanner over the server's own exposition (not a
-// general Prometheus parser): sample lines are `name value` or
-// `name{label="v"} value`, and histogram families follow the
-// _bucket/_sum/_count convention with cumulative bucket counts.
-
-/// Cumulative histogram pulled out of the exposition text.
-struct PromHistogram {
-    std::vector<std::pair<double, std::uint64_t>> buckets;  ///< (le, cumulative)
-    double sum = 0.0;
-    std::uint64_t count = 0;
-};
-
-/// Value of the sample line starting exactly with `prefix` + ' '.
-bool find_sample(const std::string& text, const std::string& prefix, double& out) {
-    std::size_t pos = 0;
-    const std::string needle = prefix + " ";
-    while (pos < text.size()) {
-        const std::size_t eol = text.find('\n', pos);
-        const std::string_view line(text.data() + pos,
-                                    (eol == std::string::npos ? text.size() : eol) -
-                                        pos);
-        if (line.substr(0, needle.size()) == needle) {
-            out = std::strtod(line.data() + needle.size(), nullptr);
-            return true;
-        }
-        if (eol == std::string::npos) {
-            break;
-        }
-        pos = eol + 1;
-    }
-    return false;
-}
-
 std::uint64_t counter_or_zero(const std::string& text, const std::string& name) {
-    double value = 0.0;
-    find_sample(text, name, value);
-    return static_cast<std::uint64_t>(value);
+    return static_cast<std::uint64_t>(sample_or_zero(text, name));
 }
 
-bool read_histogram(const std::string& text, const std::string& family,
-                    PromHistogram& out) {
-    out = PromHistogram{};
-    const std::string bucket_prefix = family + "_bucket{le=\"";
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t eol = text.find('\n', pos);
-        const std::size_t len =
-            (eol == std::string::npos ? text.size() : eol) - pos;
-        const std::string line = text.substr(pos, len);
-        if (line.compare(0, bucket_prefix.size(), bucket_prefix) == 0) {
-            const std::size_t close = line.find("\"} ", bucket_prefix.size());
-            if (close != std::string::npos) {
-                const std::string le_text =
-                    line.substr(bucket_prefix.size(), close - bucket_prefix.size());
-                const double le = le_text == "+Inf"
-                                      ? std::numeric_limits<double>::infinity()
-                                      : std::strtod(le_text.c_str(), nullptr);
-                const std::uint64_t cumulative = std::strtoull(
-                    line.c_str() + close + 3, nullptr, 10);
-                out.buckets.emplace_back(le, cumulative);
-            }
-        }
-        if (eol == std::string::npos) {
-            break;
-        }
-        pos = eol + 1;
-    }
-    double sum = 0.0;
-    double count = 0.0;
-    const bool have_sum = find_sample(text, family + "_sum", sum);
-    const bool have_count = find_sample(text, family + "_count", count);
-    out.sum = sum;
-    out.count = static_cast<std::uint64_t>(count);
-    return have_sum && have_count && !out.buckets.empty();
-}
-
-/// Upper bin edge of the q-quantile (smallest le whose cumulative count
-/// reaches q * total); 0 for an empty histogram.
-double histogram_quantile(const PromHistogram& histogram, double q) {
-    if (histogram.count == 0) {
-        return 0.0;
-    }
-    const double target = q * static_cast<double>(histogram.count);
-    for (const auto& [le, cumulative] : histogram.buckets) {
-        if (static_cast<double>(cumulative) >= target) {
-            return le;
-        }
-    }
-    return histogram.buckets.back().first;
-}
-
-std::string format_seconds(double seconds) {
-    char buffer[32];
-    if (seconds <= 0.0) {
-        return "-";
-    }
-    if (seconds < 1.0e-3) {
-        std::snprintf(buffer, sizeof(buffer), "%.1fus", seconds * 1.0e6);
-    } else if (seconds < 1.0) {
-        std::snprintf(buffer, sizeof(buffer), "%.2fms", seconds * 1.0e3);
-    } else {
-        std::snprintf(buffer, sizeof(buffer), "%.2fs", seconds);
-    }
-    return buffer;
-}
-
-void print_histogram_row(const std::string& label, const PromHistogram& histogram) {
+void print_histogram_row(const std::string& label, const Histogram& histogram) {
     const double mean = histogram.count > 0
                             ? histogram.sum / static_cast<double>(histogram.count)
                             : 0.0;
@@ -390,7 +206,7 @@ void print_histogram_row(const std::string& label, const PromHistogram& histogra
 
 int run_stats_table(int fd, FrameDecoder& decoder) {
     std::string text;
-    if (!fetch_stats(fd, decoder, text)) {
+    if (!fetch_stats(fd, decoder, text, "planning_client")) {
         return 1;
     }
     static constexpr const char* kVerbs[] = {"ping", "eval", "plan", "refine",
@@ -403,7 +219,7 @@ int run_stats_table(int fd, FrameDecoder& decoder) {
     std::printf("  %-10s %10s %10s %10s %10s\n", "verb", "count", "mean", "p50",
                 "p99");
     for (const char* verb : kVerbs) {
-        PromHistogram histogram;
+        Histogram histogram;
         if (!read_histogram(text,
                             std::string("swarmavail_server_latency_seconds_") + verb,
                             histogram)) {
@@ -423,7 +239,7 @@ int run_stats_table(int fd, FrameDecoder& decoder) {
     std::printf("  %-10s %10s %10s %10s %10s\n", "stage", "count", "mean", "p50",
                 "p99");
     for (const char* stage : kStages) {
-        PromHistogram histogram;
+        Histogram histogram;
         if (!read_histogram(text,
                             std::string("swarmavail_server_stage_seconds_") + stage,
                             histogram)) {
@@ -471,7 +287,7 @@ int run_stats_table(int fd, FrameDecoder& decoder) {
 
 int run_stats_raw(int fd, FrameDecoder& decoder) {
     std::string text;
-    if (!fetch_stats(fd, decoder, text)) {
+    if (!fetch_stats(fd, decoder, text, "planning_client")) {
         return 1;
     }
     std::cout << text;
@@ -555,12 +371,12 @@ int check_spans(const std::string& path) {
 int run_bench(int fd, FrameDecoder& decoder, const Options& opt) {
     std::string response;
     // Warm the caches (and fault in the code path) outside the timed loop.
-    if (!round_trip(fd, decoder, opt.request, response)) {
+    if (!round_trip(fd, decoder, opt.request, response, "planning_client")) {
         return 1;
     }
     const auto started = std::chrono::steady_clock::now();
     for (long i = 0; i < opt.bench; ++i) {
-        if (!round_trip(fd, decoder, opt.request, response)) {
+        if (!round_trip(fd, decoder, opt.request, response, "planning_client")) {
             return 1;
         }
     }
@@ -583,7 +399,7 @@ int run_session(int fd, FrameDecoder& decoder) {
         if (line.empty()) {
             continue;
         }
-        if (!round_trip(fd, decoder, line, response)) {
+        if (!round_trip(fd, decoder, line, response, "planning_client")) {
             return 1;
         }
         std::cout << response << "\n";
@@ -638,7 +454,7 @@ int main(int argc, char** argv) {
         rc = run_bench(fd, decoder, opt);
     } else if (!opt.request.empty()) {
         std::string response;
-        if (round_trip(fd, decoder, opt.request, response)) {
+        if (round_trip(fd, decoder, opt.request, response, "planning_client")) {
             std::cout << response << "\n";
             rc = response_ok(response) ? 0 : 1;
         } else {

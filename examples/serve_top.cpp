@@ -24,25 +24,19 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include "serve/json.hpp"
-#include "serve/protocol.hpp"
+#include "stats_scrape.hpp"
 
 namespace {
 
-using swarmavail::serve::FrameDecoder;
+using namespace stats_scrape;
 
 struct Options {
     int port = -1;
@@ -95,175 +89,6 @@ Options parse_options(int argc, char** argv) {
         }
     }
     return opt;
-}
-
-int connect_to(int port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        return -1;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-bool send_all(int fd, std::string_view bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                                 MSG_NOSIGNAL);
-        if (n < 0) {
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/// One STATS round trip; the exposition text lands in `text`.
-bool fetch_stats(int fd, FrameDecoder& decoder, std::string& text) {
-    if (!send_all(fd, swarmavail::serve::encode_frame("{\"verb\":\"STATS\"}"))) {
-        return false;
-    }
-    std::string response;
-    std::string error;
-    char buffer[65536];
-    while (true) {
-        const FrameDecoder::Status status = decoder.next(response, error);
-        if (status == FrameDecoder::Status::kFrame) {
-            break;
-        }
-        if (status == FrameDecoder::Status::kError) {
-            std::cerr << "serve_top: protocol error: " << error << "\n";
-            return false;
-        }
-        const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-        if (n <= 0) {
-            std::cerr << "serve_top: connection closed by server\n";
-            return false;
-        }
-        decoder.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
-    }
-    swarmavail::serve::JsonValue value;
-    if (!swarmavail::serve::parse_json(response, value, &error)) {
-        std::cerr << "serve_top: unparseable STATS response: " << error << "\n";
-        return false;
-    }
-    const auto* result = value.find("result");
-    const auto* prometheus =
-        result != nullptr ? result->find("prometheus") : nullptr;
-    if (prometheus == nullptr || !prometheus->is_string()) {
-        std::cerr << "serve_top: STATS response has no prometheus text\n";
-        return false;
-    }
-    text = prometheus->as_string();
-    return true;
-}
-
-// Minimal scanner over the server's own exposition shape (`name value`
-// and `name{label="v"} value` lines; _bucket/_sum/_count histograms with
-// cumulative buckets).
-
-bool find_sample(const std::string& text, const std::string& prefix, double& out) {
-    const std::string needle = prefix + " ";
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t eol = text.find('\n', pos);
-        const std::size_t len =
-            (eol == std::string::npos ? text.size() : eol) - pos;
-        if (len > needle.size() &&
-            text.compare(pos, needle.size(), needle) == 0) {
-            out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-            return true;
-        }
-        if (eol == std::string::npos) {
-            break;
-        }
-        pos = eol + 1;
-    }
-    return false;
-}
-
-double sample_or_zero(const std::string& text, const std::string& name) {
-    double value = 0.0;
-    find_sample(text, name, value);
-    return value;
-}
-
-struct Histogram {
-    std::vector<std::pair<double, std::uint64_t>> buckets;  ///< (le, cumulative)
-    double sum = 0.0;
-    std::uint64_t count = 0;
-};
-
-bool read_histogram(const std::string& text, const std::string& family,
-                    Histogram& out) {
-    out = Histogram{};
-    const std::string bucket_prefix = family + "_bucket{le=\"";
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t eol = text.find('\n', pos);
-        const std::size_t len =
-            (eol == std::string::npos ? text.size() : eol) - pos;
-        const std::string line = text.substr(pos, len);
-        if (line.compare(0, bucket_prefix.size(), bucket_prefix) == 0) {
-            const std::size_t close = line.find("\"} ", bucket_prefix.size());
-            if (close != std::string::npos) {
-                const std::string le_text =
-                    line.substr(bucket_prefix.size(), close - bucket_prefix.size());
-                const double le = le_text == "+Inf"
-                                      ? std::numeric_limits<double>::infinity()
-                                      : std::strtod(le_text.c_str(), nullptr);
-                out.buckets.emplace_back(
-                    le, std::strtoull(line.c_str() + close + 3, nullptr, 10));
-            }
-        }
-        if (eol == std::string::npos) {
-            break;
-        }
-        pos = eol + 1;
-    }
-    double sum = 0.0;
-    double count = 0.0;
-    find_sample(text, family + "_sum", sum);
-    find_sample(text, family + "_count", count);
-    out.sum = sum;
-    out.count = static_cast<std::uint64_t>(count);
-    return !out.buckets.empty();
-}
-
-double histogram_quantile(const Histogram& histogram, double q) {
-    if (histogram.count == 0) {
-        return 0.0;
-    }
-    const double target = q * static_cast<double>(histogram.count);
-    for (const auto& [le, cumulative] : histogram.buckets) {
-        if (static_cast<double>(cumulative) >= target) {
-            return le;
-        }
-    }
-    return histogram.buckets.back().first;
-}
-
-std::string format_seconds(double seconds) {
-    char buffer[32];
-    if (seconds <= 0.0) {
-        return "-";
-    }
-    if (seconds < 1.0e-3) {
-        std::snprintf(buffer, sizeof(buffer), "%.1fus", seconds * 1.0e6);
-    } else if (seconds < 1.0) {
-        std::snprintf(buffer, sizeof(buffer), "%.2fms", seconds * 1.0e3);
-    } else {
-        std::snprintf(buffer, sizeof(buffer), "%.2fs", seconds);
-    }
-    return buffer;
 }
 
 constexpr const char* kVerbs[] = {"ping", "eval", "plan", "refine", "stats"};
@@ -368,7 +193,7 @@ int main(int argc, char** argv) {
     int rc = 0;
     for (long poll = 1; opt.iterations < 0 || poll <= opt.iterations; ++poll) {
         std::string text;
-        if (!fetch_stats(fd, decoder, text)) {
+        if (!fetch_stats(fd, decoder, text, "serve_top")) {
             rc = 1;
             break;
         }

@@ -1,122 +1,20 @@
-// Strict, bounds-checked JSON for the planning service.
-//
-// The service's wire payloads are small JSON objects, so this parser is
-// deliberately minimal and paranoid rather than general: every limit
-// (nesting depth, value count, string length) is explicit, numbers must
-// match the JSON grammar exactly (no leading zeros, no hex, no NaN/Inf),
-// object keys must be unique, and the whole payload must be well-formed
-// UTF-8. Malformed input produces a diagnostic with a byte offset and
-// never throws — the protocol layer turns it into a structured error
-// response (DESIGN.md §15).
-//
-// The writer side is canonical: object keys sorted, doubles in the
-// shortest exact round-trip form (util/table.hpp format_double_exact, the
-// same lossless writer report.cpp uses). Two JsonValues compare
-// semantically equal iff their canonical serializations are byte-equal,
-// which is what the CatalogCache keys rely on.
+// Forwarding header: the JSON codec lives in util/json.hpp. Kept only so
+// code written against the old serve:: names (the benchmark program)
+// still builds; new code includes util/json.hpp.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <vector>
+#include "util/json.hpp"
 
 namespace swarmavail::serve {
 
-struct JsonMember;
-
-/// One parsed JSON value. Numbers are doubles (the service's integral
-/// fields are range-checked to the exact-double window by the request
-/// layer); object members keep parse order, lookup is linear (payloads
-/// are tiny), and the canonical writer sorts keys.
-class JsonValue {
- public:
-    enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-    JsonValue() = default;
-
-    [[nodiscard]] static JsonValue make_null();
-    [[nodiscard]] static JsonValue make_bool(bool value);
-    [[nodiscard]] static JsonValue make_number(double value);
-    [[nodiscard]] static JsonValue make_string(std::string value);
-    [[nodiscard]] static JsonValue make_array();
-    [[nodiscard]] static JsonValue make_object();
-
-    [[nodiscard]] Kind kind() const noexcept { return kind_; }
-    [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
-    [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::kBool; }
-    [[nodiscard]] bool is_number() const noexcept { return kind_ == Kind::kNumber; }
-    [[nodiscard]] bool is_string() const noexcept { return kind_ == Kind::kString; }
-    [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::kArray; }
-    [[nodiscard]] bool is_object() const noexcept { return kind_ == Kind::kObject; }
-
-    /// Typed accessors; the caller must have checked the kind.
-    [[nodiscard]] bool as_bool() const noexcept { return bool_; }
-    [[nodiscard]] double as_number() const noexcept { return number_; }
-    [[nodiscard]] const std::string& as_string() const noexcept { return string_; }
-    [[nodiscard]] const std::vector<JsonValue>& items() const noexcept {
-        return items_;
-    }
-    [[nodiscard]] const std::vector<JsonMember>& members() const noexcept;
-
-    /// First member with `key`, or nullptr (the parser rejects duplicate
-    /// keys, so "first" is "only").
-    [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;
-
-    void push_back(JsonValue value);
-    void insert(std::string key, JsonValue value);
-
- private:
-    Kind kind_ = Kind::kNull;
-    bool bool_ = false;
-    double number_ = 0.0;
-    std::string string_;
-    std::vector<JsonValue> items_;
-    std::vector<JsonMember> members_;
-};
-
-/// One object member; members keep parse/insertion order.
-struct JsonMember {
-    std::string key;
-    JsonValue value;
-};
-
-/// Hard ceilings on a parse; every limit maps to a distinct diagnostic.
-struct JsonLimits {
-    std::size_t max_depth = 32;           ///< nesting of arrays/objects
-    std::size_t max_values = 65536;       ///< total values in the document
-    std::size_t max_string_bytes = 65536; ///< decoded bytes of one string
-};
-
-/// Parses exactly one JSON document spanning the whole of `text` (trailing
-/// whitespace allowed). On failure returns false and, if `error` is
-/// non-null, a diagnostic with a byte offset. Never throws on malformed
-/// input. The text must already be valid UTF-8 (see validate_utf8); raw
-/// control bytes inside strings are rejected here regardless.
-[[nodiscard]] bool parse_json(std::string_view text, JsonValue& out,
-                              std::string* error, const JsonLimits& limits = {});
-
-/// True iff `text` is well-formed UTF-8 (rejects overlong encodings,
-/// surrogate code points, and values beyond U+10FFFF).
-[[nodiscard]] bool validate_utf8(std::string_view text) noexcept;
-
-/// Appends the canonical serialization of `value` to `out`: object keys
-/// sorted bytewise, no whitespace, doubles via format_double_exact.
-void write_canonical_json(const JsonValue& value, std::string& out);
-
-/// Canonical serialization as a fresh string (the cache-key form).
-[[nodiscard]] std::string canonical_json(const JsonValue& value);
-
-/// Appends `text` JSON-escaped (quotes included) to `out`; shared by the
-/// canonical writer and the response builders.
-void append_json_string(std::string_view text, std::string& out);
-
-/// Appends the shortest exact decimal form of `value` (format_double_exact)
-/// to `out`; infinities and NaN — which JSON cannot carry — are written as
-/// the strings "inf"/"-inf"/"nan" would be invalid, so they are quoted:
-/// `"inf"`. The service's response fields use this so +infinite busy
-/// periods survive serialization.
-void append_json_number(double value, std::string& out);
+using swarmavail::append_json_number;
+using swarmavail::append_json_string;
+using swarmavail::canonical_json;
+using swarmavail::JsonLimits;
+using swarmavail::JsonMember;
+using swarmavail::JsonValue;
+using swarmavail::parse_json;
+using swarmavail::validate_utf8;
+using swarmavail::write_canonical_json;
 
 }  // namespace swarmavail::serve

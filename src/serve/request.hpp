@@ -24,7 +24,7 @@
 
 #include "catalog/catalog.hpp"
 #include "model/params.hpp"
-#include "serve/json.hpp"
+#include "util/json.hpp"
 
 namespace swarmavail::serve {
 

@@ -9,7 +9,7 @@
 #include "catalog/catalog.hpp"
 #include "catalog/catalog_engine.hpp"
 #include "catalog/report.hpp"
-#include "serve/json.hpp"
+#include "util/json.hpp"
 #include "serve/planning.hpp"
 #include "sim/fingerprint.hpp"
 #include "util/telemetry.hpp"

@@ -14,7 +14,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "serve/json.hpp"
+#include "util/json.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
 #include "util/telemetry.hpp"

@@ -1,101 +1,13 @@
 #include "serve/span.hpp"
 
-#include <charconv>
-#include <istream>
+#include <limits>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 
 #include "util/error.hpp"
-#include "util/table.hpp"
+#include "util/json.hpp"
 
 namespace swarmavail::serve {
-
-namespace {
-
-[[noreturn]] void parse_fail(std::size_t line_no, const std::string& why) {
-    throw std::invalid_argument("span parse error at line " +
-                                std::to_string(line_no) + ": " + why);
-}
-
-/// Minimal scanner over one JSONL line as emitted by JsonlSpanSink. Like
-/// sim/trace.cpp's reader, it only accepts the writer's own shape, which
-/// keeps the round-trip contract narrow and testable.
-class SpanLineScanner {
- public:
-    SpanLineScanner(std::string_view line, std::size_t line_no)
-        : line_(line), line_no_(line_no) {}
-
-    void expect(char ch) {
-        if (pos_ >= line_.size() || line_[pos_] != ch) {
-            parse_fail(line_no_, std::string("expected '") + ch + "'");
-        }
-        ++pos_;
-    }
-
-    void expect_key(std::string_view key) {
-        expect('"');
-        if (line_.substr(pos_, key.size()) != key) {
-            parse_fail(line_no_, "expected key \"" + std::string(key) + "\"");
-        }
-        pos_ += key.size();
-        expect('"');
-        expect(':');
-    }
-
-    [[nodiscard]] double read_double() {
-        double value = 0.0;
-        const char* begin = line_.data() + pos_;
-        const char* end = line_.data() + line_.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, value);
-        if (ec != std::errc{}) {
-            parse_fail(line_no_, "bad number");
-        }
-        pos_ = static_cast<std::size_t>(ptr - line_.data());
-        return value;
-    }
-
-    [[nodiscard]] std::uint64_t read_u64() {
-        std::uint64_t value = 0;
-        const char* begin = line_.data() + pos_;
-        const char* end = line_.data() + line_.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, value);
-        if (ec != std::errc{}) {
-            parse_fail(line_no_, "bad integer");
-        }
-        pos_ = static_cast<std::size_t>(ptr - line_.data());
-        return value;
-    }
-
-    /// Reads a bare name between quotes (stage and cache-outcome names
-    /// contain no escapes by construction).
-    [[nodiscard]] std::string_view read_name() {
-        expect('"');
-        const std::size_t start = pos_;
-        while (pos_ < line_.size() && line_[pos_] != '"') {
-            ++pos_;
-        }
-        if (pos_ >= line_.size()) {
-            parse_fail(line_no_, "unterminated string");
-        }
-        const std::string_view name = line_.substr(start, pos_ - start);
-        ++pos_;
-        return name;
-    }
-
-    void expect_end() {
-        if (pos_ != line_.size()) {
-            parse_fail(line_no_, "trailing characters");
-        }
-    }
-
- private:
-    std::string_view line_;
-    std::size_t line_no_;
-    std::size_t pos_ = 0;
-};
-
-}  // namespace
 
 void NullSpanSink::write(const SpanRecord* records, std::size_t count) {
     static_cast<void>(records);
@@ -107,78 +19,64 @@ void MemorySpanSink::write(const SpanRecord* records, std::size_t count) {
 }
 
 void JsonlSpanSink::write(const SpanRecord* records, std::size_t count) {
+    std::string lines;
     for (std::size_t i = 0; i < count; ++i) {
         const SpanRecord& r = records[i];
-        os_ << "{\"request\":" << r.request << ",\"conn\":" << r.connection
-            << ",\"stage\":\"" << span_stage_name(static_cast<SpanStage>(r.stage))
-            << "\",\"verb\":" << r.verb << ",\"lane\":" << r.lane
-            << ",\"worker\":" << r.worker
-            << ",\"t0\":" << format_double_exact(r.t_start)
-            << ",\"t1\":" << format_double_exact(r.t_end)
-            << ",\"bytes\":" << r.bytes << ",\"cache\":\""
-            << span_cache_outcome_name(static_cast<SpanCacheOutcome>(r.cache))
-            << "\"}\n";
+        lines += "{\"request\":";
+        append_json_uint64(r.request, lines);
+        lines += ",\"conn\":";
+        append_json_uint64(r.connection, lines);
+        lines += ",\"stage\":";
+        append_json_string(span_stage_name(static_cast<SpanStage>(r.stage)), lines);
+        lines += ",\"verb\":";
+        append_json_uint64(r.verb, lines);
+        lines += ",\"lane\":";
+        append_json_uint64(r.lane, lines);
+        lines += ",\"worker\":";
+        append_json_uint64(r.worker, lines);
+        lines += ",\"t0\":";
+        append_json_number(r.t_start, lines);
+        lines += ",\"t1\":";
+        append_json_number(r.t_end, lines);
+        lines += ",\"bytes\":";
+        append_json_uint64(r.bytes, lines);
+        lines += ",\"cache\":";
+        append_json_string(
+            span_cache_outcome_name(static_cast<SpanCacheOutcome>(r.cache)), lines);
+        lines += "}\n";
     }
+    os_ << lines;
 }
 
 void JsonlSpanSink::finish() { os_.flush(); }
 
 std::vector<SpanRecord> read_spans_jsonl(std::istream& in) {
+    constexpr std::uint64_t kU16 = std::numeric_limits<std::uint16_t>::max();
     std::vector<SpanRecord> out;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty()) {
-            continue;
-        }
-        SpanLineScanner scan(line, line_no);
+    read_jsonl(in, "span", [&out](const JsonlFields& line) {
         SpanRecord r;
-        scan.expect('{');
-        scan.expect_key("request");
-        r.request = scan.read_u64();
-        scan.expect(',');
-        scan.expect_key("conn");
-        r.connection = scan.read_u64();
-        scan.expect(',');
-        scan.expect_key("stage");
-        const std::string_view stage_name = scan.read_name();
+        r.request = line.u64("request");
+        r.connection = line.u64("conn");
+        const std::string& stage_name = line.text("stage");
         SpanStage stage = SpanStage::kAccept;
         if (!span_stage_from_name(stage_name, stage)) {
-            parse_fail(line_no, "unknown stage '" + std::string(stage_name) + "'");
+            line.fail("unknown stage '" + stage_name + "'");
         }
         r.stage = static_cast<std::uint16_t>(stage);
-        scan.expect(',');
-        scan.expect_key("verb");
-        r.verb = static_cast<std::uint16_t>(scan.read_u64());
-        scan.expect(',');
-        scan.expect_key("lane");
-        r.lane = static_cast<std::uint16_t>(scan.read_u64());
-        scan.expect(',');
-        scan.expect_key("worker");
-        r.worker = static_cast<std::uint16_t>(scan.read_u64());
-        scan.expect(',');
-        scan.expect_key("t0");
-        r.t_start = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("t1");
-        r.t_end = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("bytes");
-        r.bytes = scan.read_u64();
-        scan.expect(',');
-        scan.expect_key("cache");
-        const std::string_view cache_name = scan.read_name();
+        r.verb = static_cast<std::uint16_t>(line.u64("verb", kU16));
+        r.lane = static_cast<std::uint16_t>(line.u64("lane", kU16));
+        r.worker = static_cast<std::uint16_t>(line.u64("worker", kU16));
+        r.t_start = line.number("t0");
+        r.t_end = line.number("t1");
+        r.bytes = line.u64("bytes");
+        const std::string& cache_name = line.text("cache");
         SpanCacheOutcome outcome = SpanCacheOutcome::kNone;
         if (!span_cache_outcome_from_name(cache_name, outcome)) {
-            parse_fail(line_no,
-                       "unknown cache outcome '" + std::string(cache_name) + "'");
+            line.fail("unknown cache outcome '" + cache_name + "'");
         }
         r.cache = static_cast<std::uint32_t>(outcome);
-        scan.expect('}');
-        scan.expect_end();
         out.push_back(r);
-    }
+    });
     return out;
 }
 

@@ -185,9 +185,11 @@ class JsonlSpanSink final : public SpanSink {
     std::ostream& os_;
 };
 
-/// Parses a JSONL span stream produced by JsonlSpanSink. Restricted to
-/// that writer's output shape (this is a span reader, not a JSON
-/// library); throws std::invalid_argument on malformed lines.
+/// Parses a JSONL span stream produced by JsonlSpanSink through the
+/// strict util/json parser; throws std::invalid_argument ("span line N:
+/// ...") on a malformed line, a missing field, an unknown stage or cache
+/// outcome, or an integer out of its field's range (verb, lane and worker
+/// are 16-bit).
 [[nodiscard]] std::vector<SpanRecord> read_spans_jsonl(std::istream& in);
 
 /// Per-request scratch the serving path fills while a request moves

@@ -1,16 +1,12 @@
 #include "sim/trace.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "util/check.hpp"
 #include "util/error.hpp"
-#include "util/table.hpp"
+#include "util/json.hpp"
 
 namespace swarmavail::sim {
 
@@ -34,214 +30,6 @@ constexpr KindName kKindNames[] = {
     {TraceKind::kTransferComplete, "transfer_complete"},
     {TraceKind::kCustom, "custom"},
 };
-
-/// JSON string escaping for annotation text (control chars, quote, backslash).
-std::string json_escape(std::string_view text) {
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (char ch : text) {
-        switch (ch) {
-            case '"':
-                out += "\\\"";
-                break;
-            case '\\':
-                out += "\\\\";
-                break;
-            case '\n':
-                out += "\\n";
-                break;
-            case '\r':
-                out += "\\r";
-                break;
-            case '\t':
-                out += "\\t";
-                break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(static_cast<unsigned char>(ch)));
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-                break;
-        }
-    }
-    return out;
-}
-
-[[noreturn]] void parse_fail(std::size_t line_no, const std::string& why) {
-    throw std::invalid_argument("trace parse error at line " + std::to_string(line_no) +
-                                ": " + why);
-}
-
-/// Minimal scanner over one JSONL line as emitted by JsonlTraceSink. This
-/// is deliberately not a general JSON parser: it only accepts the writer's
-/// own shape, which keeps the round-trip contract narrow and testable.
-class JsonLineScanner {
- public:
-    JsonLineScanner(std::string_view line, std::size_t line_no)
-        : line_(line), line_no_(line_no) {}
-
-    void expect(char ch) {
-        if (pos_ >= line_.size() || line_[pos_] != ch) {
-            parse_fail(line_no_, std::string("expected '") + ch + "'");
-        }
-        ++pos_;
-    }
-
-    [[nodiscard]] bool consume(char ch) noexcept {
-        if (pos_ < line_.size() && line_[pos_] == ch) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    void expect_key(std::string_view key) {
-        expect('"');
-        if (line_.substr(pos_, key.size()) != key) {
-            parse_fail(line_no_, "expected key \"" + std::string(key) + "\"");
-        }
-        pos_ += key.size();
-        expect('"');
-        expect(':');
-    }
-
-    [[nodiscard]] double read_double() {
-        double value = 0.0;
-        const char* begin = line_.data() + pos_;
-        const char* end = line_.data() + line_.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, value);
-        if (ec != std::errc{}) {
-            parse_fail(line_no_, "bad number");
-        }
-        pos_ = static_cast<std::size_t>(ptr - line_.data());
-        return value;
-    }
-
-    [[nodiscard]] std::uint64_t read_u64() {
-        std::uint64_t value = 0;
-        const char* begin = line_.data() + pos_;
-        const char* end = line_.data() + line_.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, value);
-        if (ec != std::errc{}) {
-            parse_fail(line_no_, "bad integer");
-        }
-        pos_ = static_cast<std::size_t>(ptr - line_.data());
-        return value;
-    }
-
-    /// Reads a quoted string, undoing json_escape.
-    [[nodiscard]] std::string read_string() {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (pos_ >= line_.size()) {
-                parse_fail(line_no_, "unterminated string");
-            }
-            char ch = line_[pos_++];
-            if (ch == '"') {
-                return out;
-            }
-            if (ch != '\\') {
-                out += ch;
-                continue;
-            }
-            if (pos_ >= line_.size()) {
-                parse_fail(line_no_, "dangling escape");
-            }
-            char esc = line_[pos_++];
-            switch (esc) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case 'n': out += '\n'; break;
-                case 'r': out += '\r'; break;
-                case 't': out += '\t'; break;
-                case 'u': {
-                    if (pos_ + 4 > line_.size()) {
-                        parse_fail(line_no_, "bad \\u escape");
-                    }
-                    unsigned code = 0;
-                    const char* begin = line_.data() + pos_;
-                    const auto [ptr, ec] = std::from_chars(begin, begin + 4, code, 16);
-                    if (ec != std::errc{} || ptr != begin + 4 || code > 0xFF) {
-                        parse_fail(line_no_, "bad \\u escape");
-                    }
-                    out += static_cast<char>(code);
-                    pos_ += 4;
-                    break;
-                }
-                default:
-                    parse_fail(line_no_, "unknown escape");
-            }
-        }
-    }
-
-    void expect_end() {
-        if (pos_ != line_.size()) {
-            parse_fail(line_no_, "trailing characters");
-        }
-    }
-
- private:
-    std::string_view line_;
-    std::size_t line_no_;
-    std::size_t pos_ = 0;
-};
-
-/// Splits one CSV line written by write_csv_row back into cells.
-std::vector<std::string> split_csv_line(const std::string& line, std::size_t line_no) {
-    std::vector<std::string> cells;
-    std::string cell;
-    bool in_quotes = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        char ch = line[i];
-        if (in_quotes) {
-            if (ch == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    cell += '"';
-                    ++i;
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                cell += ch;
-            }
-        } else if (ch == '"') {
-            in_quotes = true;
-        } else if (ch == ',') {
-            cells.push_back(std::move(cell));
-            cell.clear();
-        } else {
-            cell += ch;
-        }
-    }
-    if (in_quotes) {
-        parse_fail(line_no, "unterminated quoted cell");
-    }
-    cells.push_back(std::move(cell));
-    return cells;
-}
-
-double parse_double_cell(const std::string& cell, std::size_t line_no) {
-    double value = 0.0;
-    const auto [ptr, ec] = std::from_chars(cell.data(), cell.data() + cell.size(), value);
-    if (ec != std::errc{} || ptr != cell.data() + cell.size()) {
-        parse_fail(line_no, "bad number '" + cell + "'");
-    }
-    return value;
-}
-
-std::uint64_t parse_u64_cell(const std::string& cell, std::size_t line_no) {
-    std::uint64_t value = 0;
-    const auto [ptr, ec] = std::from_chars(cell.data(), cell.data() + cell.size(), value);
-    if (ec != std::errc{} || ptr != cell.data() + cell.size()) {
-        parse_fail(line_no, "bad integer '" + cell + "'");
-    }
-    return value;
-}
 
 }  // namespace
 
@@ -283,41 +71,34 @@ void MemoryTraceSink::annotate(double time, std::string_view text) {
 }
 
 void JsonlTraceSink::write(const TraceRecord* records, std::size_t count) {
+    std::string lines;
     for (std::size_t i = 0; i < count; ++i) {
         const TraceRecord& r = records[i];
-        os_ << "{\"t\":" << format_double_exact(r.time) << ",\"kind\":\""
-            << trace_kind_name(r.kind) << "\",\"entity\":" << r.entity
-            << ",\"a\":" << format_double_exact(r.a)
-            << ",\"b\":" << format_double_exact(r.b) << "}\n";
+        lines += "{\"t\":";
+        append_json_number(r.time, lines);
+        lines += ",\"kind\":";
+        append_json_string(trace_kind_name(r.kind), lines);
+        lines += ",\"entity\":";
+        append_json_uint64(r.entity, lines);
+        lines += ",\"a\":";
+        append_json_number(r.a, lines);
+        lines += ",\"b\":";
+        append_json_number(r.b, lines);
+        lines += "}\n";
     }
+    os_ << lines;
 }
 
 void JsonlTraceSink::annotate(double time, std::string_view text) {
-    os_ << "{\"t\":" << format_double_exact(time)
-        << ",\"kind\":\"annotation\",\"text\":\"" << json_escape(text) << "\"}\n";
+    std::string line = "{\"t\":";
+    append_json_number(time, line);
+    line += ",\"kind\":\"annotation\",\"text\":";
+    append_json_string(text, line);
+    line += "}\n";
+    os_ << line;
 }
 
 void JsonlTraceSink::finish() { os_.flush(); }
-
-CsvTraceSink::CsvTraceSink(std::ostream& os) : os_(os) {
-    write_csv_row(os_, {"time", "kind", "entity", "a", "b"});
-}
-
-void CsvTraceSink::write(const TraceRecord* records, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceRecord& r = records[i];
-        write_csv_row(os_, {format_double_exact(r.time), trace_kind_name(r.kind),
-                            std::to_string(r.entity), format_double_exact(r.a),
-                            format_double_exact(r.b)});
-    }
-}
-
-void CsvTraceSink::annotate(double time, std::string_view text) {
-    write_csv_row(os_, {format_double_exact(time), "annotation", "0",
-                        std::string(text), "0"});
-}
-
-void CsvTraceSink::finish() { os_.flush(); }
 
 Tracer::Tracer(TraceSink& sink, std::size_t buffer_capacity)
     : sink_(sink), capacity_(buffer_capacity) {
@@ -345,87 +126,20 @@ void Tracer::flush() {
 
 ParsedTrace read_trace_jsonl(std::istream& in) {
     ParsedTrace out;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty()) {
-            continue;
-        }
-        JsonLineScanner scan(line, line_no);
-        scan.expect('{');
-        scan.expect_key("t");
-        const double time = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("kind");
-        const std::string kind_name = scan.read_string();
+    read_jsonl(in, "trace", [&out](const JsonlFields& line) {
+        const double time = line.number("t");
+        const std::string& kind_name = line.text("kind");
         if (kind_name == "annotation") {
-            scan.expect(',');
-            scan.expect_key("text");
-            std::string text = scan.read_string();
-            scan.expect('}');
-            scan.expect_end();
-            out.annotations.push_back(TraceAnnotation{time, std::move(text)});
-            continue;
+            out.annotations.push_back(TraceAnnotation{time, line.text("text")});
+            return;
         }
         TraceKind kind = TraceKind::kCustom;
         if (!trace_kind_from_name(kind_name, kind)) {
-            parse_fail(line_no, "unknown kind '" + kind_name + "'");
+            line.fail("unknown kind '" + kind_name + "'");
         }
-        scan.expect(',');
-        scan.expect_key("entity");
-        const std::uint64_t entity = scan.read_u64();
-        scan.expect(',');
-        scan.expect_key("a");
-        const double a = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("b");
-        const double b = scan.read_double();
-        scan.expect('}');
-        scan.expect_end();
-        out.records.push_back(TraceRecord{time, kind, 0, entity, a, b});
-    }
-    return out;
-}
-
-ParsedTrace read_trace_csv(std::istream& in) {
-    ParsedTrace out;
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty()) {
-            continue;
-        }
-        std::vector<std::string> cells = split_csv_line(line, line_no);
-        if (cells.size() != 5) {
-            parse_fail(line_no, "expected 5 cells, got " + std::to_string(cells.size()));
-        }
-        if (!saw_header) {
-            if (cells[0] != "time" || cells[1] != "kind") {
-                parse_fail(line_no, "missing CSV header");
-            }
-            saw_header = true;
-            continue;
-        }
-        const double time = parse_double_cell(cells[0], line_no);
-        if (cells[1] == "annotation") {
-            out.annotations.push_back(TraceAnnotation{time, std::move(cells[3])});
-            continue;
-        }
-        TraceKind kind = TraceKind::kCustom;
-        if (!trace_kind_from_name(cells[1], kind)) {
-            parse_fail(line_no, "unknown kind '" + cells[1] + "'");
-        }
-        out.records.push_back(TraceRecord{time, kind, 0,
-                                          parse_u64_cell(cells[2], line_no),
-                                          parse_double_cell(cells[3], line_no),
-                                          parse_double_cell(cells[4], line_no)});
-    }
-    if (!saw_header) {
-        parse_fail(line_no, "empty trace (no header)");
-    }
+        out.records.push_back(TraceRecord{time, kind, 0, line.u64("entity"),
+                                          line.number("a"), line.number("b")});
+    });
     return out;
 }
 

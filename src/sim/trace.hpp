@@ -2,8 +2,9 @@
 //
 // The simulators emit POD TraceRecords (sim-time, kind, entity id, two
 // payload doubles) into a Tracer, which ring-buffers them and flushes to a
-// pluggable TraceSink: JSONL (one object per line, lossless doubles), CSV
-// (via the util/table quoting rules), an in-memory vector, or /dev/null.
+// pluggable TraceSink: JSONL (one object per line, lossless doubles,
+// written and read through the util/json codec), an in-memory vector, or
+// /dev/null.
 // This is the longitudinal-telemetry substrate the paper's time-resolved
 // observables (busy periods, seed-absence intervals, per-peer download
 // times) are extracted from — see examples/trace_inspect.cpp.
@@ -109,27 +110,14 @@ class MemoryTraceSink final : public TraceSink {
 
 /// One JSON object per line:
 ///   {"t":12.5,"kind":"peer_arrival","entity":7,"a":0,"b":0}
-/// Doubles use the shortest lossless form, so parsing the stream back
+/// Doubles use the shortest lossless form (non-finite ones the quoted
+/// "inf"/"-inf"/"nan" of append_json_number), so parsing the stream back
 /// reproduces every record bit for bit. Annotations become
 ///   {"t":...,"kind":"annotation","text":"..."} with JSON string escaping.
 class JsonlTraceSink final : public TraceSink {
  public:
     /// The stream must outlive the sink; the sink never owns it.
     explicit JsonlTraceSink(std::ostream& os) : os_(os) {}
-    void write(const TraceRecord* records, std::size_t count) override;
-    void annotate(double time, std::string_view text) override;
-    void finish() override;
-
- private:
-    std::ostream& os_;
-};
-
-/// CSV with header "time,kind,entity,a,b" (util/table quoting rules,
-/// lossless doubles). Annotations are written as kind "annotation" rows
-/// with the text in the `a` column position — see read_trace_csv.
-class CsvTraceSink final : public TraceSink {
- public:
-    explicit CsvTraceSink(std::ostream& os);
     void write(const TraceRecord* records, std::size_t count) override;
     void annotate(double time, std::string_view text) override;
     void finish() override;
@@ -197,13 +185,11 @@ struct ParsedTrace {
     std::vector<TraceAnnotation> annotations;
 };
 
-/// Parses a JSONL trace produced by JsonlTraceSink. Restricted to that
-/// writer's output shape (this is a trace reader, not a JSON library);
-/// throws std::invalid_argument on malformed lines.
+/// Parses a JSONL trace produced by JsonlTraceSink through the strict
+/// util/json parser; throws std::invalid_argument ("trace line N: ...")
+/// on a malformed line, a missing field, an unknown kind, or an entity
+/// that is not an exact 64-bit unsigned integer.
 [[nodiscard]] ParsedTrace read_trace_jsonl(std::istream& in);
-
-/// Parses a CSV trace produced by CsvTraceSink (header required).
-[[nodiscard]] ParsedTrace read_trace_csv(std::istream& in);
 
 /// Routes an invariant-audit failure through the structured sink: emits an
 /// annotation at `sim_time` carrying the check's file, line, and message.

@@ -1,12 +1,14 @@
-#include "serve/json.hpp"
+#include "util/json.hpp"
 
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <istream>
+#include <stdexcept>
 
 #include "util/table.hpp"
 
-namespace swarmavail::serve {
+namespace swarmavail {
 namespace {
 
 using std::string_view;
@@ -17,6 +19,12 @@ bool is_json_ws(char c) noexcept {
 
 std::string offset_message(std::string_view what, std::size_t offset) {
     return std::string(what) + " at byte " + std::to_string(offset);
+}
+
+[[noreturn]] void jsonl_fail(std::string_view format, std::size_t line_no,
+                             std::string_view why) {
+    throw std::invalid_argument(std::string(format) + " line " +
+                                std::to_string(line_no) + ": " + std::string(why));
 }
 
 /// Recursive-descent parser over one string_view; all bounds explicit.
@@ -327,6 +335,8 @@ class Parser {
                 ++p;
             }
         }
+        const bool digits_only =
+            p >= text_.size() || (text_[p] != '.' && text_[p] != 'e' && text_[p] != 'E');
         if (p < text_.size() && text_[p] == '.') {
             ++p;
             if (p >= text_.size() || text_[p] < '0' || text_[p] > '9') {
@@ -348,9 +358,21 @@ class Parser {
                 ++p;
             }
         }
+        const char* first = text_.data() + start;
+        const char* last = text_.data() + p;
+        if (digits_only && *first != '-') {
+            // A plain unsigned integer keeps its exact value; the double is
+            // the same correctly rounded conversion from_chars would make.
+            std::uint64_t exact = 0;
+            const auto result = std::from_chars(first, last, exact);
+            if (result.ec == std::errc{} && result.ptr == last) {
+                pos_ = p;
+                out = JsonValue::make_uint64(exact);
+                return true;
+            }
+        }
         double value = 0.0;
-        const auto result =
-            std::from_chars(text_.data() + start, text_.data() + p, value);
+        const auto result = std::from_chars(first, last, value);
         if (result.ec != std::errc{} || result.ptr != text_.data() + p ||
             !std::isfinite(value)) {
             return fail("JSON number outside double range", start);
@@ -382,6 +404,15 @@ JsonValue JsonValue::make_number(double value) {
     JsonValue v;
     v.kind_ = Kind::kNumber;
     v.number_ = value;
+    return v;
+}
+
+JsonValue JsonValue::make_uint64(std::uint64_t value) {
+    JsonValue v;
+    v.kind_ = Kind::kNumber;
+    v.number_ = static_cast<double>(value);
+    v.exact_uint_ = true;
+    v.uint_ = value;
     return v;
 }
 
@@ -511,6 +542,12 @@ void append_json_number(double value, std::string& out) {
     out += format_double_exact(value);
 }
 
+void append_json_uint64(std::uint64_t value, std::string& out) {
+    char buffer[24];
+    const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+    out.append(buffer, result.ptr);
+}
+
 void write_canonical_json(const JsonValue& value, std::string& out) {
     switch (value.kind()) {
         case JsonValue::Kind::kNull:
@@ -571,4 +608,96 @@ std::string canonical_json(const JsonValue& value) {
     return out;
 }
 
-}  // namespace swarmavail::serve
+JsonlFields::JsonlFields(const JsonValue& object, std::string_view format,
+                         std::size_t line_no)
+    : object_(object), format_(format), line_no_(line_no) {
+    if (!object.is_object()) {
+        fail("expected a JSON object");
+    }
+}
+
+void JsonlFields::fail(std::string_view why) const {
+    jsonl_fail(format_, line_no_, why);
+}
+
+bool JsonlFields::has(std::string_view key) const noexcept {
+    return object_.find(key) != nullptr;
+}
+
+const JsonValue& JsonlFields::field(std::string_view key, JsonValue::Kind kind) const {
+    const JsonValue* value = object_.find(key);
+    if (value == nullptr) {
+        fail("missing field \"" + std::string(key) + "\"");
+    }
+    if (value->kind() != kind) {
+        fail("field \"" + std::string(key) + "\" has the wrong type");
+    }
+    return *value;
+}
+
+double JsonlFields::number(std::string_view key) const {
+    const JsonValue* value = object_.find(key);
+    if (value != nullptr && value->is_string()) {
+        const std::string& word = value->as_string();
+        if (word == "inf") {
+            return std::numeric_limits<double>::infinity();
+        }
+        if (word == "-inf") {
+            return -std::numeric_limits<double>::infinity();
+        }
+        if (word == "nan") {
+            return std::numeric_limits<double>::quiet_NaN();
+        }
+    }
+    return field(key, JsonValue::Kind::kNumber).as_number();
+}
+
+std::uint64_t JsonlFields::u64(std::string_view key, std::uint64_t max) const {
+    std::uint64_t out = 0;
+    if (!field(key, JsonValue::Kind::kNumber).as_uint64(out) || out > max) {
+        fail("field \"" + std::string(key) + "\" is not an integer in [0, " +
+             std::to_string(max) + "]");
+    }
+    return out;
+}
+
+bool JsonlFields::boolean(std::string_view key) const {
+    return field(key, JsonValue::Kind::kBool).as_bool();
+}
+
+const std::string& JsonlFields::text(std::string_view key) const {
+    return field(key, JsonValue::Kind::kString).as_string();
+}
+
+const std::vector<JsonValue>& JsonlFields::array(std::string_view key) const {
+    return field(key, JsonValue::Kind::kArray).items();
+}
+
+JsonlFields JsonlFields::nested(const JsonValue& object) const {
+    return JsonlFields{object, format_, line_no_};
+}
+
+void read_jsonl(std::istream& in, std::string_view format,
+                const std::function<void(const JsonlFields&)>& on_record) {
+    std::string line;
+    std::size_t line_no = 0;
+    JsonValue record;
+    std::string error;
+    while (std::getline(in, line)) {
+        ++line_no;
+        if (line.empty()) {
+            continue;
+        }
+        // A decoded string or a value count can never exceed the line's
+        // length, so these limits refuse nothing a writer produced.
+        JsonLimits limits;
+        limits.max_values = line.size();
+        limits.max_string_bytes = line.size();
+        if (!parse_json(line, record, &error, limits)) {
+            jsonl_fail(format, line_no, error);
+        }
+        on_record(JsonlFields{record, format, line_no});
+    }
+}
+
+}  // namespace swarmavail

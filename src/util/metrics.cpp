@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace swarmavail {
@@ -197,7 +198,9 @@ void MetricsRegistry::write_json(std::ostream& os) const {
             os << ',';
         }
         first = false;
-        os << "\n  {\"name\":\"" << entry->name << "\",";
+        std::string name;
+        append_json_string(entry->name, name);
+        os << "\n  {\"name\":" << name << ',';
         switch (entry->kind) {
             case MetricKind::kCounter:
                 os << "\"kind\":\"counter\",\"value\":" << entry->counter.value();

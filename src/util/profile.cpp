@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace swarmavail::prof {
@@ -103,8 +104,10 @@ void Profiler::write_json(std::ostream& os) {
     const std::vector<PhaseTotal> phases = snapshot();
     os << "{\"phases\":[";
     for (std::size_t i = 0; i < phases.size(); ++i) {
-        os << (i == 0 ? "" : ",") << "\n  {\"name\":\"" << phases[i].name
-           << "\",\"calls\":" << phases[i].calls
+        std::string name;
+        append_json_string(phases[i].name, name);
+        os << (i == 0 ? "" : ",") << "\n  {\"name\":" << name
+           << ",\"calls\":" << phases[i].calls
            << ",\"seconds\":" << format_double_exact(phases[i].seconds) << '}';
     }
     os << "\n]}\n";

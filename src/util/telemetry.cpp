@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 #if defined(__linux__)
@@ -108,45 +109,49 @@ bool read_process_rss(std::uint64_t& rss_bytes, std::uint64_t& peak_rss_bytes) {
 // ---------------------------------------------------------------------------
 // Exporters
 
-namespace {
-
-void write_tracked_json(const TrackedStat& stat, std::ostream& os) {
-    os << "{\"name\":\"" << stat.name << "\",\"count\":" << stat.count
-       << ",\"mean\":" << format_double_exact(stat.mean)
-       << ",\"ci95\":" << format_double_exact(stat.ci95_halfwidth)
-       << ",\"min\":" << format_double_exact(stat.min)
-       << ",\"max\":" << format_double_exact(stat.max)
-       << ",\"last\":" << format_double_exact(stat.last) << "}";
-}
-
-}  // namespace
-
 void JsonlTelemetryExporter::export_snapshot(const TelemetrySnapshot& s) {
-    os_ << "{\"seq\":" << s.sequence
-        << ",\"wall_s\":" << format_double_exact(s.wall_time_s)
-        << ",\"final\":" << (s.final_snapshot ? "true" : "false")
-        << ",\"replications_total\":" << s.replications_total
-        << ",\"replications_completed\":" << s.replications_completed
-        << ",\"swarms_total\":" << s.swarms_total
-        << ",\"swarms_completed\":" << s.swarms_completed
-        << ",\"events_dispatched\":" << s.events_dispatched
-        << ",\"events_per_s\":" << format_double_exact(s.events_per_s)
-        << ",\"sim_time_advanced\":" << format_double_exact(s.sim_time_advanced)
-        << ",\"sim_time_target\":" << format_double_exact(s.sim_time_target)
-        << ",\"sim_time_rate\":" << format_double_exact(s.sim_time_rate)
-        << ",\"queue_depth\":" << format_double_exact(s.queue_depth)
-        << ",\"progress\":" << format_double_exact(s.progress)
-        << ",\"eta_s\":" << format_double_exact(s.eta_s)
-        << ",\"rss_bytes\":" << s.rss_bytes
-        << ",\"peak_rss_bytes\":" << s.peak_rss_bytes
-        << ",\"fingerprint_xor\":" << s.fingerprint_xor << ",\"tracked\":[";
+    std::string line;
+    const auto number = [&line](const char* key, double value) {
+        line += key;
+        append_json_number(value, line);
+    };
+    const auto count = [&line](const char* key, std::uint64_t value) {
+        line += key;
+        append_json_uint64(value, line);
+    };
+    count("{\"seq\":", s.sequence);
+    number(",\"wall_s\":", s.wall_time_s);
+    line += s.final_snapshot ? ",\"final\":true" : ",\"final\":false";
+    count(",\"replications_total\":", s.replications_total);
+    count(",\"replications_completed\":", s.replications_completed);
+    count(",\"swarms_total\":", s.swarms_total);
+    count(",\"swarms_completed\":", s.swarms_completed);
+    count(",\"events_dispatched\":", s.events_dispatched);
+    number(",\"events_per_s\":", s.events_per_s);
+    number(",\"sim_time_advanced\":", s.sim_time_advanced);
+    number(",\"sim_time_target\":", s.sim_time_target);
+    number(",\"sim_time_rate\":", s.sim_time_rate);
+    number(",\"queue_depth\":", s.queue_depth);
+    number(",\"progress\":", s.progress);
+    number(",\"eta_s\":", s.eta_s);
+    count(",\"rss_bytes\":", s.rss_bytes);
+    count(",\"peak_rss_bytes\":", s.peak_rss_bytes);
+    count(",\"fingerprint_xor\":", s.fingerprint_xor);
+    line += ",\"tracked\":[";
     for (std::size_t i = 0; i < s.tracked.size(); ++i) {
-        if (i > 0) {
-            os_ << ',';
-        }
-        write_tracked_json(s.tracked[i], os_);
+        const TrackedStat& stat = s.tracked[i];
+        line += i > 0 ? ",{\"name\":" : "{\"name\":";
+        append_json_string(stat.name, line);
+        count(",\"count\":", stat.count);
+        number(",\"mean\":", stat.mean);
+        number(",\"ci95\":", stat.ci95_halfwidth);
+        number(",\"min\":", stat.min);
+        number(",\"max\":", stat.max);
+        number(",\"last\":", stat.last);
+        line += '}';
     }
-    os_ << "]}\n";
+    line += "]}\n";
+    os_ << line;
     os_.flush();  // tailers must see whole lines as they happen
 }
 
@@ -429,225 +434,45 @@ bool validate_prometheus_text(std::string_view text, std::string* error) {
 // ---------------------------------------------------------------------------
 // JSONL snapshot reader
 
-namespace {
-
-[[noreturn]] void parse_fail(std::size_t line_no, const std::string& why) {
-    throw std::invalid_argument("telemetry jsonl line " + std::to_string(line_no) +
-                                ": " + why);
-}
-
-/// Minimal scanner over one exporter-produced line (same philosophy as the
-/// trace reader: this reads back our own writer's shape, it is not a JSON
-/// library).
-class Scanner {
- public:
-    Scanner(std::string_view line, std::size_t line_no)
-        : line_(line), line_no_(line_no) {}
-
-    void expect(char c) {
-        if (pos_ >= line_.size() || line_[pos_] != c) {
-            parse_fail(line_no_, std::string("expected '") + c + "'");
-        }
-        ++pos_;
-    }
-
-    void expect_key(std::string_view key) {
-        expect('"');
-        if (line_.substr(pos_, key.size()) != key) {
-            parse_fail(line_no_, "expected key '" + std::string{key} + "'");
-        }
-        pos_ += key.size();
-        expect('"');
-        expect(':');
-    }
-
-    [[nodiscard]] bool read_bool() {
-        if (line_.substr(pos_, 4) == "true") {
-            pos_ += 4;
-            return true;
-        }
-        if (line_.substr(pos_, 5) == "false") {
-            pos_ += 5;
-            return false;
-        }
-        parse_fail(line_no_, "expected boolean");
-    }
-
-    [[nodiscard]] std::uint64_t read_u64() {
-        if (pos_ >= line_.size() || line_[pos_] < '0' || line_[pos_] > '9') {
-            parse_fail(line_no_, "expected unsigned integer");
-        }
-        std::uint64_t value = 0;
-        while (pos_ < line_.size() && line_[pos_] >= '0' && line_[pos_] <= '9') {
-            value = value * 10 + static_cast<std::uint64_t>(line_[pos_] - '0');
-            ++pos_;
-        }
-        return value;
-    }
-
-    [[nodiscard]] double read_double() {
-        const std::string owned{line_.substr(pos_)};
-        char* end = nullptr;
-        const double value = std::strtod(owned.c_str(), &end);
-        if (end == owned.c_str()) {
-            parse_fail(line_no_, "expected number");
-        }
-        pos_ += static_cast<std::size_t>(end - owned.c_str());
-        return value;
-    }
-
-    [[nodiscard]] std::string read_string() {
-        expect('"');
-        std::string out;
-        while (pos_ < line_.size() && line_[pos_] != '"') {
-            if (line_[pos_] == '\\' && pos_ + 1 < line_.size()) {
-                ++pos_;
-            }
-            out.push_back(line_[pos_++]);
-        }
-        expect('"');
-        return out;
-    }
-
-    [[nodiscard]] bool peek(char c) const {
-        return pos_ < line_.size() && line_[pos_] == c;
-    }
-
-    /// Consumes `"key":` if it is next; false (no movement) otherwise.
-    /// For fields added after the format shipped: streams written before
-    /// the field existed still parse (the field keeps its default).
-    [[nodiscard]] bool try_key(std::string_view key) {
-        const std::size_t need = key.size() + 3;  // quotes and colon
-        if (line_.size() - pos_ < need || line_[pos_] != '"' ||
-            line_.substr(pos_ + 1, key.size()) != key ||
-            line_[pos_ + 1 + key.size()] != '"' ||
-            line_[pos_ + 2 + key.size()] != ':') {
-            return false;
-        }
-        pos_ += need;
-        return true;
-    }
-
-    void expect_end() {
-        if (pos_ != line_.size()) {
-            parse_fail(line_no_, "trailing characters");
-        }
-    }
-
- private:
-    std::string_view line_;
-    std::size_t pos_ = 0;
-    std::size_t line_no_;
-};
-
-}  // namespace
-
 std::vector<TelemetrySnapshot> read_telemetry_jsonl(std::istream& in) {
     std::vector<TelemetrySnapshot> out;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty()) {
-            continue;
-        }
-        Scanner scan(line, line_no);
+    read_jsonl(in, "telemetry", [&out](const JsonlFields& line) {
         TelemetrySnapshot s;
-        scan.expect('{');
-        scan.expect_key("seq");
-        s.sequence = scan.read_u64();
-        scan.expect(',');
-        scan.expect_key("wall_s");
-        s.wall_time_s = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("final");
-        s.final_snapshot = scan.read_bool();
-        scan.expect(',');
-        scan.expect_key("replications_total");
-        s.replications_total = scan.read_u64();
-        scan.expect(',');
-        scan.expect_key("replications_completed");
-        s.replications_completed = scan.read_u64();
-        scan.expect(',');
-        scan.expect_key("swarms_total");
-        s.swarms_total = scan.read_u64();
-        scan.expect(',');
-        scan.expect_key("swarms_completed");
-        s.swarms_completed = scan.read_u64();
-        scan.expect(',');
-        scan.expect_key("events_dispatched");
-        s.events_dispatched = scan.read_u64();
-        scan.expect(',');
-        scan.expect_key("events_per_s");
-        s.events_per_s = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("sim_time_advanced");
-        s.sim_time_advanced = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("sim_time_target");
-        s.sim_time_target = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("sim_time_rate");
-        s.sim_time_rate = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("queue_depth");
-        s.queue_depth = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("progress");
-        s.progress = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("eta_s");
-        s.eta_s = scan.read_double();
-        scan.expect(',');
-        scan.expect_key("rss_bytes");
-        s.rss_bytes = scan.read_u64();
-        scan.expect(',');
-        scan.expect_key("peak_rss_bytes");
-        s.peak_rss_bytes = scan.read_u64();
-        scan.expect(',');
-        if (scan.try_key("fingerprint_xor")) {
-            s.fingerprint_xor = scan.read_u64();
-            scan.expect(',');
+        s.sequence = line.u64("seq");
+        s.wall_time_s = line.number("wall_s");
+        s.final_snapshot = line.boolean("final");
+        s.replications_total = line.u64("replications_total");
+        s.replications_completed = line.u64("replications_completed");
+        s.swarms_total = line.u64("swarms_total");
+        s.swarms_completed = line.u64("swarms_completed");
+        s.events_dispatched = line.u64("events_dispatched");
+        s.events_per_s = line.number("events_per_s");
+        s.sim_time_advanced = line.number("sim_time_advanced");
+        s.sim_time_target = line.number("sim_time_target");
+        s.sim_time_rate = line.number("sim_time_rate");
+        s.queue_depth = line.number("queue_depth");
+        s.progress = line.number("progress");
+        s.eta_s = line.number("eta_s");
+        s.rss_bytes = line.u64("rss_bytes");
+        s.peak_rss_bytes = line.u64("peak_rss_bytes");
+        // Added after the format shipped: older streams keep the default.
+        if (line.has("fingerprint_xor")) {
+            s.fingerprint_xor = line.u64("fingerprint_xor");
         }
-        scan.expect_key("tracked");
-        scan.expect('[');
-        if (!scan.peek(']')) {
-            for (;;) {
-                TrackedStat stat;
-                scan.expect('{');
-                scan.expect_key("name");
-                stat.name = scan.read_string();
-                scan.expect(',');
-                scan.expect_key("count");
-                stat.count = scan.read_u64();
-                scan.expect(',');
-                scan.expect_key("mean");
-                stat.mean = scan.read_double();
-                scan.expect(',');
-                scan.expect_key("ci95");
-                stat.ci95_halfwidth = scan.read_double();
-                scan.expect(',');
-                scan.expect_key("min");
-                stat.min = scan.read_double();
-                scan.expect(',');
-                scan.expect_key("max");
-                stat.max = scan.read_double();
-                scan.expect(',');
-                scan.expect_key("last");
-                stat.last = scan.read_double();
-                scan.expect('}');
-                s.tracked.push_back(std::move(stat));
-                if (scan.peek(']')) {
-                    break;
-                }
-                scan.expect(',');
-            }
+        for (const JsonValue& item : line.array("tracked")) {
+            const JsonlFields fields = line.nested(item);
+            TrackedStat stat;
+            stat.name = fields.text("name");
+            stat.count = fields.u64("count", std::numeric_limits<std::size_t>::max());
+            stat.mean = fields.number("mean");
+            stat.ci95_halfwidth = fields.number("ci95");
+            stat.min = fields.number("min");
+            stat.max = fields.number("max");
+            stat.last = fields.number("last");
+            s.tracked.push_back(std::move(stat));
         }
-        scan.expect(']');
-        scan.expect('}');
-        scan.expect_end();
         out.push_back(std::move(s));
-    }
+    });
     return out;
 }
 

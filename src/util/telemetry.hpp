@@ -299,9 +299,11 @@ void write_prometheus(const TelemetrySnapshot& snapshot, std::ostream& os);
 [[nodiscard]] bool validate_prometheus_text(std::string_view text,
                                             std::string* error = nullptr);
 
-/// Parses a JSONL snapshot stream produced by JsonlTelemetryExporter.
-/// Restricted to that writer's output shape; throws std::invalid_argument
-/// on malformed lines. Doubles round-trip bit-exactly.
+/// Parses a JSONL snapshot stream produced by JsonlTelemetryExporter
+/// through the strict util/json parser; throws std::invalid_argument
+/// ("telemetry line N: ...") on a malformed line, a missing field, or an
+/// integer field that is not an exact 64-bit unsigned integer. Doubles
+/// and tracked names round-trip bit-exactly.
 [[nodiscard]] std::vector<TelemetrySnapshot> read_telemetry_jsonl(std::istream& in);
 
 /// Current resident-set size and peak RSS of this process in bytes

@@ -9,7 +9,7 @@
 #include <string>
 
 namespace serve = swarmavail::serve;
-using serve::JsonValue;
+using swarmavail::JsonValue;
 using serve::Request;
 using serve::RequestPolicy;
 using serve::ServeError;
@@ -20,7 +20,7 @@ namespace {
 JsonValue parse_payload(const std::string& text) {
     JsonValue value;
     std::string error;
-    EXPECT_TRUE(serve::parse_json(text, value, &error)) << error;
+    EXPECT_TRUE(swarmavail::parse_json(text, value, &error)) << error;
     return value;
 }
 

@@ -9,11 +9,11 @@
 #include <thread>
 #include <vector>
 
-#include "serve/json.hpp"
+#include "util/json.hpp"
 #include "util/telemetry.hpp"
 
 namespace serve = swarmavail::serve;
-using serve::JsonValue;
+using swarmavail::JsonValue;
 using serve::RequestRouter;
 using serve::RouteResult;
 using serve::RouterConfig;
@@ -24,7 +24,7 @@ namespace {
 JsonValue parse_response(const std::string& payload) {
     JsonValue value;
     std::string error;
-    EXPECT_TRUE(serve::parse_json(payload, value, &error))
+    EXPECT_TRUE(swarmavail::parse_json(payload, value, &error))
         << error << " in " << payload;
     EXPECT_TRUE(value.is_object());
     return value;

@@ -21,7 +21,7 @@
 #include <thread>
 #include <vector>
 
-#include "serve/json.hpp"
+#include "util/json.hpp"
 #include "serve/protocol.hpp"
 #include "util/telemetry.hpp"
 
@@ -310,10 +310,10 @@ TEST(PlanningServerTest, StatsExposesServerSeries) {
     const std::string response = client.round_trip("{\"verb\":\"STATS\",\"id\":9}");
     server.stop();
 
-    serve::JsonValue value;
+    swarmavail::JsonValue value;
     std::string error;
-    ASSERT_TRUE(serve::parse_json(response, value, &error)) << error;
-    const serve::JsonValue* result = value.find("result");
+    ASSERT_TRUE(swarmavail::parse_json(response, value, &error)) << error;
+    const swarmavail::JsonValue* result = value.find("result");
     ASSERT_NE(result, nullptr) << response;
     const std::string text = result->find("prometheus")->as_string();
 
@@ -428,9 +428,9 @@ TEST(PlanningServerTest, StatsMergeIsShapeIdenticalAcrossThreadsAndSpans) {
                 client.round_trip("{\"verb\":\"STATS\",\"id\":9}");
             server.stop();
 
-            serve::JsonValue value;
+            swarmavail::JsonValue value;
             std::string error;
-            ASSERT_TRUE(serve::parse_json(response, value, &error)) << error;
+            ASSERT_TRUE(swarmavail::parse_json(response, value, &error)) << error;
             const std::string text =
                 value.find("result")->find("prometheus")->as_string();
             // The stage families are part of the shape in every build and

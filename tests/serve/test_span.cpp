@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,12 +85,50 @@ TEST(SpanJsonl, MalformedLinesAreRejectedWithLineNumbers) {
              "{\"request\":1,\"conn\":1,\"stage\":\"nope\",\"verb\":1,"
              "\"lane\":0,\"worker\":1,\"t0\":0,\"t1\":0,\"bytes\":0,"
              "\"cache\":\"hit\"}\n",  // unknown stage name
+             "{\"request\":1,\"conn\":1,\"stage\":\"write\",\"verb\":65537,"
+             "\"lane\":0,\"worker\":1,\"t0\":0,\"t1\":0,\"bytes\":0,"
+             "\"cache\":\"hit\"}\n",  // verb wider than 16 bits
+             "{\"request\":1,\"conn\":1,\"stage\":\"write\",\"verb\":1,"
+             "\"lane\":-1,\"worker\":1,\"t0\":0,\"t1\":0,\"bytes\":0,"
+             "\"cache\":\"hit\"}\n",  // negative lane
+             "{\"request\":1,\"conn\":1,\"stage\":\"write\",\"verb\":1,"
+             "\"lane\":0,\"worker\":70000,\"t0\":0,\"t1\":0,\"bytes\":0,"
+             "\"cache\":\"hit\"}\n",  // worker wider than 16 bits
          }) {
         std::istringstream in(bad);
-        EXPECT_THROW(static_cast<void>(serve::read_spans_jsonl(in)),
-                     std::invalid_argument)
-            << bad;
+        try {
+            static_cast<void>(serve::read_spans_jsonl(in));
+            ADD_FAILURE() << "accepted: " << bad;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()).rfind("span line 1: ", 0), 0U) << e.what();
+        }
     }
+}
+
+TEST(SpanJsonl, LineFormatIsPinned) {
+    // The bytes every earlier version of the sink wrote for this record.
+    SpanRecord r;
+    r.request = 18446744073709551615ULL;
+    r.connection = 42;
+    r.t_start = 0.25;
+    r.t_end = 12345.678901234567;
+    r.bytes = 434;
+    r.stage = static_cast<std::uint16_t>(SpanStage::kWrite);
+    r.verb = 65535;
+    r.lane = 1;
+    r.worker = 3;
+    r.cache = static_cast<std::uint32_t>(SpanCacheOutcome::kHit);
+    std::ostringstream out;
+    JsonlSpanSink sink(out);
+    sink.write(&r, 1);
+    EXPECT_EQ(out.str(),
+              "{\"request\":18446744073709551615,\"conn\":42,\"stage\":\"write\","
+              "\"verb\":65535,\"lane\":1,\"worker\":3,\"t0\":0.25,"
+              "\"t1\":12345.678901234567,\"bytes\":434,\"cache\":\"hit\"}\n");
+    std::istringstream in(out.str());
+    const std::vector<SpanRecord> parsed = serve::read_spans_jsonl(in);
+    ASSERT_EQ(parsed.size(), 1U);
+    EXPECT_EQ(parsed[0], r);
 }
 
 TEST(SpanHubTest, DrainMergesRingsInIndexOrderAndClears) {

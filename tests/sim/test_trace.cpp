@@ -1,6 +1,7 @@
 // Structured event tracer: ring-buffer flushing, runtime gating, the
-// JSONL/CSV serialization round-trips (bit-exact doubles), annotation
-// escaping, and the CheckFailure routing helper.
+// JSONL serialization round-trip (bit-exact doubles, non-finite payloads,
+// annotation escaping), the pinned line format, and the CheckFailure
+// routing helper.
 #include "sim/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace swarmavail::sim {
 namespace {
@@ -26,7 +28,21 @@ std::vector<TraceRecord> gnarly_records() {
         {std::nextafter(1.0, 2.0), TraceKind::kTransferStart, 0,
          std::numeric_limits<std::uint64_t>::max(), -0.0, 6.62607015e-34},
         {42.0, TraceKind::kCustom, 0, 7, std::numeric_limits<double>::epsilon(), 3.0},
+        {43.0, TraceKind::kAvailabilityEnd, 0, 8, std::numeric_limits<double>::infinity(),
+         -std::numeric_limits<double>::infinity()},
+        {std::numeric_limits<double>::infinity(), TraceKind::kCustom, 0, 9, 0.5, 0.25},
     };
+}
+
+/// Every line of `text` must be a document the strict parser accepts.
+void expect_every_line_parses(const std::string& text) {
+    std::istringstream lines{text};
+    std::string line;
+    while (std::getline(lines, line)) {
+        JsonValue value;
+        std::string error;
+        EXPECT_TRUE(parse_json(line, value, &error)) << error << " in " << line;
+    }
 }
 
 TEST(TraceKindNames, RoundTripEveryKind) {
@@ -109,6 +125,8 @@ TEST(Tracer, RejectsZeroCapacity) {
 }
 
 TEST(JsonlTraceSink, RoundTripsRecordsBitExactly) {
+    const std::string note = "note with \"quotes\", commas,\nnewlines\tand \x01 ctrl";
+    const std::string raw_byte = "not UTF-8: \xff";
     std::ostringstream os;
     {
         JsonlTraceSink sink{os};
@@ -117,47 +135,61 @@ TEST(JsonlTraceSink, RoundTripsRecordsBitExactly) {
         for (const TraceRecord& r : gnarly_records()) {
             tracer.record(r.kind, r.time, r.entity, r.a, r.b);
         }
-        tracer.annotate(7.25, "note with \"quotes\", commas,\nnewlines\tand \x01 ctrl");
+        tracer.annotate(7.25, note);
+        tracer.annotate(7.5, raw_byte);
+        tracer.record(TraceKind::kCustom, 8.0, 10, std::numeric_limits<double>::quiet_NaN());
     }
+    expect_every_line_parses(os.str());
     std::istringstream in{os.str()};
-    const ParsedTrace parsed = read_trace_jsonl(in);
+    ParsedTrace parsed = read_trace_jsonl(in);
+    ASSERT_EQ(parsed.records.size(), gnarly_records().size() + 1);
+    const TraceRecord nan_record = parsed.records.back();
+    EXPECT_TRUE(std::isnan(nan_record.a));
+    EXPECT_EQ(nan_record.entity, 10U);
+    parsed.records.pop_back();
     EXPECT_EQ(parsed.records, gnarly_records());
-    ASSERT_EQ(parsed.annotations.size(), 1u);
+    ASSERT_EQ(parsed.annotations.size(), 2u);
     EXPECT_EQ(parsed.annotations[0].time, 7.25);
-    EXPECT_EQ(parsed.annotations[0].text,
-              "note with \"quotes\", commas,\nnewlines\tand \x01 ctrl");
+    EXPECT_EQ(parsed.annotations[0].text, note);
+    EXPECT_EQ(parsed.annotations[1].text, raw_byte);
 }
 
-TEST(CsvTraceSink, RoundTripsRecordsBitExactly) {
+TEST(JsonlTraceSink, LineFormatIsPinned) {
+    // Finite payloads and text that needs no escaping: the bytes every
+    // earlier version of the sink wrote for the same records.
     std::ostringstream os;
-    {
-        CsvTraceSink sink{os};
-        Tracer tracer{sink};
-        tracer.set_enabled(true);
-        for (const TraceRecord& r : gnarly_records()) {
-            tracer.record(r.kind, r.time, r.entity, r.a, r.b);
-        }
-        tracer.annotate(3.5, "cells, with \"quotes\"");
-    }
-    const std::string text = os.str();
-    EXPECT_EQ(text.rfind("time,kind,entity,a,b\n", 0), 0u) << text;
-    std::istringstream in{text};
-    const ParsedTrace parsed = read_trace_csv(in);
-    EXPECT_EQ(parsed.records, gnarly_records());
-    ASSERT_EQ(parsed.annotations.size(), 1u);
-    EXPECT_EQ(parsed.annotations[0].text, "cells, with \"quotes\"");
+    JsonlTraceSink sink{os};
+    const TraceRecord record{123456.789012345, TraceKind::kPeerCompletion, 0,
+                             std::numeric_limits<std::uint64_t>::max(), 1.0 / 3.0, -0.0};
+    sink.write(&record, 1);
+    sink.annotate(7.25, "check failure at sim/file.cpp:42: count went negative");
+    EXPECT_EQ(os.str(),
+              "{\"t\":123456.789012345,\"kind\":\"peer_completion\","
+              "\"entity\":18446744073709551615,\"a\":0.3333333333333333,\"b\":-0}\n"
+              "{\"t\":7.25,\"kind\":\"annotation\",\"text\":\"check failure at "
+              "sim/file.cpp:42: count went negative\"}\n");
 }
 
 TEST(TraceParsers, RejectMalformedInput) {
-    std::istringstream bad_json{"{\"t\":1.0,\"kind\":\"bogus\",\"entity\":0,"
-                                "\"a\":0,\"b\":0}"};
-    EXPECT_THROW((void)read_trace_jsonl(bad_json), std::invalid_argument);
-    std::istringstream truncated{"{\"t\":1.0"};
-    EXPECT_THROW((void)read_trace_jsonl(truncated), std::invalid_argument);
-    std::istringstream no_header{"1.0,custom,0,0,0"};
-    EXPECT_THROW((void)read_trace_csv(no_header), std::invalid_argument);
-    std::istringstream empty{""};
-    EXPECT_THROW((void)read_trace_csv(empty), std::invalid_argument);
+    for (const char* bad : {
+             "{\"t\":1.0,\"kind\":\"bogus\",\"entity\":0,\"a\":0,\"b\":0}",
+             "{\"t\":1.0",
+             "{\"t\":1,\"kind\":\"custom\",\"entity\":18446744073709551616,"
+             "\"a\":0,\"b\":0}",
+             "{\"t\":1,\"kind\":\"custom\",\"entity\":-1,\"a\":0,\"b\":0}",
+             "{\"t\":1,\"kind\":\"custom\",\"entity\":1,\"a\":inf,\"b\":0}",
+             "{\"t\":1,\"kind\":\"annotation\"}",
+         }) {
+        std::istringstream in{std::string("{\"t\":0,\"kind\":\"custom\",\"entity\":0,"
+                                          "\"a\":0,\"b\":0}\n") +
+                              bad};
+        try {
+            (void)read_trace_jsonl(in);
+            ADD_FAILURE() << "accepted: " << bad;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()).rfind("trace line 2: ", 0), 0U) << e.what();
+        }
+    }
 }
 
 TEST(TraceCheckFailure, RoutesDiagnosticsWithSimTimeAndContext) {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace swarmavail {
 namespace {
 
@@ -275,6 +277,7 @@ TEST(MetricsRegistry, WriteJsonEmitsEveryKind) {
     reg.counter("events").add(7);
     reg.gauge("depth").set(1.5);
     reg.histogram("lat", 0.0, 4.0, 2).add(3.0);
+    reg.counter("quote\"back\\slash\nline").add(1);
     std::ostringstream os;
     reg.write_json(os);
     const std::string json = os.str();
@@ -282,6 +285,11 @@ TEST(MetricsRegistry, WriteJsonEmitsEveryKind) {
               std::string::npos);
     EXPECT_NE(json.find("\"name\":\"depth\",\"kind\":\"gauge\""), std::string::npos);
     EXPECT_NE(json.find("\"bins\":[0,1]"), std::string::npos);
+    JsonValue parsed;
+    std::string error;
+    ASSERT_TRUE(parse_json(json, parsed, &error)) << error << " in " << json;
+    ASSERT_EQ(parsed.items().size(), 4U);
+    EXPECT_EQ(parsed.items()[3].find("name")->as_string(), "quote\"back\\slash\nline");
 }
 
 }  // namespace

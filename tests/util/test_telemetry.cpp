@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -115,6 +116,7 @@ TEST(JsonlExporter, RoundTripsBitExactly) {
     exporter.export_snapshot(original);
     TelemetrySnapshot plain;  // all defaults: pins optional-field handling
     plain.sequence = 8;
+    plain.tracked.push_back({"a\"b\\c\n", 1, 2.0, 0.0, 2.0, 2.0, 2.0});
     exporter.export_snapshot(plain);
 
     std::istringstream in{os.str()};
@@ -145,7 +147,51 @@ TEST(JsonlExporter, RoundTripsBitExactly) {
     EXPECT_EQ(back.tracked[0].ci95_halfwidth, original.tracked[0].ci95_halfwidth);
     EXPECT_EQ(back.tracked[1].last, 820.125);
     EXPECT_EQ(parsed[1].sequence, 8u);
-    EXPECT_TRUE(parsed[1].tracked.empty());
+    ASSERT_EQ(parsed[1].tracked.size(), 1u);
+    EXPECT_EQ(parsed[1].tracked[0].name, "a\"b\\c\n");
+}
+
+TEST(JsonlExporter, LineFormatIsPinned) {
+    // Finite values and names that need no escaping: the bytes every
+    // earlier version of the exporter wrote for the same snapshot.
+    TelemetrySnapshot s;
+    s.sequence = 7;
+    s.wall_time_s = 1.5;
+    s.final_snapshot = true;
+    s.replications_total = 40;
+    s.replications_completed = 13;
+    s.swarms_total = 3;
+    s.swarms_completed = 2;
+    s.events_dispatched = 123456789;
+    s.events_per_s = 1.0 / 3.0;
+    s.sim_time_advanced = 1e-308;
+    s.sim_time_target = 1e308;
+    s.sim_time_rate = 2.5;
+    s.queue_depth = 17;
+    s.progress = 0.325;
+    s.eta_s = 3.64;
+    s.rss_bytes = 52 * 1024 * 1024;
+    s.peak_rss_bytes = 64 * 1024 * 1024;
+    s.fingerprint_xor = std::numeric_limits<std::uint64_t>::max();
+    s.tracked.push_back(
+        {"catalog.swarm_unavailability", 13, 0.071234, 0.0123, 0.01, 0.4, 0.05});
+    s.tracked.push_back({"swarm.download_time_s", 4, 812.5, 40.25, 700.0, 900.0, 820.125});
+    std::ostringstream os;
+    JsonlTelemetryExporter exporter{os};
+    exporter.export_snapshot(s);
+    EXPECT_EQ(os.str(),
+              "{\"seq\":7,\"wall_s\":1.5,\"final\":true,\"replications_total\":40,"
+              "\"replications_completed\":13,\"swarms_total\":3,\"swarms_completed\":2,"
+              "\"events_dispatched\":123456789,\"events_per_s\":0.3333333333333333,"
+              "\"sim_time_advanced\":1e-308,\"sim_time_target\":1e+308,"
+              "\"sim_time_rate\":2.5,\"queue_depth\":17,\"progress\":0.325,"
+              "\"eta_s\":3.64,\"rss_bytes\":54525952,\"peak_rss_bytes\":67108864,"
+              "\"fingerprint_xor\":18446744073709551615,\"tracked\":["
+              "{\"name\":\"catalog.swarm_unavailability\",\"count\":13,"
+              "\"mean\":0.071234,\"ci95\":0.0123,\"min\":0.01,\"max\":0.4,"
+              "\"last\":0.05},{\"name\":\"swarm.download_time_s\",\"count\":4,"
+              "\"mean\":812.5,\"ci95\":40.25,\"min\":700,\"max\":900,"
+              "\"last\":820.125}]}\n");
 }
 
 TEST(ReadTelemetryJsonl, RejectsMalformedStreams) {
@@ -154,11 +200,18 @@ TEST(ReadTelemetryJsonl, RejectsMalformedStreams) {
         "{\"seq\":1\n",                       // truncated object
         "{\"wrong_first_key\":1}\n",          // wrong shape
         "{\"seq\":\"oops\"}\n",               // wrong value type
+        "{\"seq\":18446744073709551617}\n",  // beyond 64 bits
+        "{\"seq\":1.5}\n",                   // not an integer
     };
     for (const std::string& text : bad) {
         std::istringstream in{text};
-        EXPECT_THROW((void)read_telemetry_jsonl(in), std::invalid_argument)
-            << "input: " << text;
+        try {
+            (void)read_telemetry_jsonl(in);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()).rfind("telemetry line 1: ", 0), 0U)
+                << e.what();
+        }
     }
     std::istringstream empty{""};
     EXPECT_TRUE(read_telemetry_jsonl(empty).empty());  // empty stream is fine
