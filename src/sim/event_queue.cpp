@@ -6,7 +6,6 @@
 
 #include "sim/audit.hpp"
 #include "util/check.hpp"
-#include "util/error.hpp"
 #include "util/profile.hpp"
 
 namespace swarmavail::sim {
@@ -69,8 +68,10 @@ void EventQueue::reposition() {
 }
 
 EventId EventQueue::schedule_at(SimTime when, EventFn action) {
-    require(when >= now_, "EventQueue::schedule_at: cannot schedule in the past");
-    require(std::isfinite(when), "EventQueue::schedule_at: event time must be finite");
+    SWARMAVAIL_REQUIRE(when >= now_,
+                       "EventQueue::schedule_at: cannot schedule in the past");
+    SWARMAVAIL_REQUIRE(std::isfinite(when),
+                       "EventQueue::schedule_at: event time must be finite");
     const std::uint32_t slot = acquire_slot();
     actions_[slot] = std::move(action);
     meta_[slot].live = true;

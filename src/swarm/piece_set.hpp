@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/error.hpp"
+#include "util/check.hpp"
 
 namespace swarmavail::swarm {
 
@@ -31,13 +31,15 @@ class PieceSet {
     // has/add/remove live in the header: they sit inside the simulator's
     // rarest-first scan, where the call overhead would rival the bit test.
     [[nodiscard]] bool has(std::size_t piece) const {
-        require(piece < num_pieces_, "PieceSet::has: piece index out of range");
+        SWARMAVAIL_REQUIRE(piece < num_pieces_,
+                           "PieceSet::has: piece index out of range");
         return ((words()[piece / kWordBits] >> (piece % kWordBits)) & 1U) != 0;
     }
 
     /// Marks `piece` owned. Adding an owned piece is a no-op.
     void add(std::size_t piece) {
-        require(piece < num_pieces_, "PieceSet::add: piece index out of range");
+        SWARMAVAIL_REQUIRE(piece < num_pieces_,
+                           "PieceSet::add: piece index out of range");
         const std::uint64_t bit = std::uint64_t{1} << (piece % kWordBits);
         std::uint64_t& word = words()[piece / kWordBits];
         if ((word & bit) == 0) {
@@ -50,7 +52,8 @@ class PieceSet {
     /// lose content pieces; this serves bitmap-backed scratch sets such as
     /// the in-flight fetch set.)
     void remove(std::size_t piece) {
-        require(piece < num_pieces_, "PieceSet::remove: piece index out of range");
+        SWARMAVAIL_REQUIRE(piece < num_pieces_,
+                           "PieceSet::remove: piece index out of range");
         const std::uint64_t bit = std::uint64_t{1} << (piece % kWordBits);
         std::uint64_t& word = words()[piece / kWordBits];
         if ((word & bit) != 0) {
@@ -91,40 +94,25 @@ class PieceSet {
         }
     }
 
-    /// Invokes fn(piece) for every missing piece in ascending index order
-    /// (the swarm simulator's rarest-first candidate enumeration: fully
-    /// held words cost one compare). fn must not mutate this set.
+    /// Invokes fn(piece) for every piece this set lacks, `excluded` lacks
+    /// and `mask` holds, in ascending index order (the swarm simulator's
+    /// rarest-first candidate enumeration: one AND-NOT per word replaces a
+    /// per-piece probe of each set, and words with no candidate cost one
+    /// compare). All three sets must have the same size; fn must not
+    /// mutate any of them.
     template <typename Fn>
-    void for_each_missing(Fn&& fn) const {
-        const std::uint64_t* w = words();
-        for (std::size_t wi = 0; wi < num_words(); ++wi) {
-            std::uint64_t word = ~w[wi];
-            if (wi + 1 == num_words()) {
-                word &= tail_mask();
-            }
-            while (word != 0) {
-                const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-                fn(wi * kWordBits + bit);
-                word &= word - 1;
-            }
-        }
-    }
-
-    /// Like for_each_missing, but also skips pieces present in `excluded`
-    /// (same size required): one OR per word replaces a per-piece probe of
-    /// the excluded set. Visits exactly the pieces for_each_missing would
-    /// visit minus those in `excluded`, in the same ascending order.
-    template <typename Fn>
-    void for_each_missing_excluding(const PieceSet& excluded, Fn&& fn) const {
-        require(excluded.num_pieces_ == num_pieces_,
-                "PieceSet::for_each_missing_excluding: size mismatch");
+    void for_each_missing_masked(const PieceSet& excluded, const PieceSet& mask,
+                                 Fn&& fn) const {
+        SWARMAVAIL_REQUIRE(excluded.num_pieces_ == num_pieces_ &&
+                               mask.num_pieces_ == num_pieces_,
+                           "PieceSet::for_each_missing_masked: size mismatch");
         const std::uint64_t* w = words();
         const std::uint64_t* x = excluded.words();
+        const std::uint64_t* m = mask.words();
         for (std::size_t wi = 0; wi < num_words(); ++wi) {
-            std::uint64_t word = ~(w[wi] | x[wi]);
-            if (wi + 1 == num_words()) {
-                word &= tail_mask();
-            }
+            // The mask's bits past the last piece are clear, so no tail
+            // mask is needed.
+            std::uint64_t word = m[wi] & ~(w[wi] | x[wi]);
             while (word != 0) {
                 const auto bit = static_cast<std::size_t>(std::countr_zero(word));
                 fn(wi * kWordBits + bit);

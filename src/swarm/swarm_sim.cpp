@@ -102,6 +102,8 @@ class SwarmSim {
         holders_.assign(pieces_total_, 0);
         holder_list_.assign(pieces_total_, {});
         offered_count_.assign(pieces_total_, 0);
+        offered_ = PieceSet{pieces_total_};
+        all_pieces_ = PieceSet::complete(pieces_total_);
         queue_.set_audit(config_.debug_audit);
 #if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
         if (config_.fingerprint) {
@@ -298,7 +300,7 @@ class SwarmSim {
     }
 
     void dec_holder(std::size_t p) {
-        ensure(holders_[p] > 0, "SwarmSim: holder count underflow");
+        SWARMAVAIL_INVARIANT(holders_[p] > 0, "SwarmSim: holder count underflow");
         --holders_[p];
         if (holders_[p] == 0 && !publisher_on_) {
             --covered_;
@@ -434,6 +436,9 @@ class SwarmSim {
             SWARMAVAIL_INVARIANT(offered_count_[p] == recomputed_offers[p],
                                  "SwarmSim: offered-piece counter diverged from the "
                                  "free uploaders' bitmaps");
+            SWARMAVAIL_INVARIANT(offered_.has(p) == (recomputed_offers[p] > 0),
+                                 "SwarmSim: offered-piece bitmap diverged from the "
+                                 "free uploaders' bitmaps");
             if (holders_[p] > 0 || publisher_on_) {
                 ++recomputed_covered;
             }
@@ -518,8 +523,8 @@ class SwarmSim {
     void on_transfer_complete(TransferId tid) {
         SWARMAVAIL_PROF_SCOPE("swarm.piece_transfer");
         const auto it = find_transfer(tid);
-        ensure(it != transfers_.end() && it->id == tid,
-               "SwarmSim: completion for unknown transfer");
+        SWARMAVAIL_INVARIANT(it != transfers_.end() && it->id == tid,
+                             "SwarmSim: completion for unknown transfer");
         const Transfer transfer = *it;
         transfers_.erase(it);
         if (m_transfers_completed_ != nullptr) {
@@ -541,6 +546,7 @@ class SwarmSim {
             holder_list_[transfer.piece].push_back(transfer.dst);
             if (hot_[transfer.dst].free_uploader != 0) {
                 if (offered_count_[transfer.piece]++ == 0) {
+                    offered_.add(transfer.piece);
                     ++offered_gain_version_;
                 }
             }
@@ -721,6 +727,7 @@ class SwarmSim {
         bool gained = false;
         have.for_each_held([&](std::size_t p) {
             if (offered_count_[p]++ == 0) {
+                offered_.add(p);
                 gained = true;
             }
         });
@@ -731,8 +738,11 @@ class SwarmSim {
 
     void remove_offer(const PieceSet& have) {
         have.for_each_held([&](std::size_t p) {
-            ensure(offered_count_[p] > 0, "SwarmSim: offered count underflow");
-            --offered_count_[p];
+            SWARMAVAIL_INVARIANT(offered_count_[p] > 0,
+                                 "SwarmSim: offered count underflow");
+            if (--offered_count_[p] == 0) {
+                offered_.remove(p);
+            }
         });
     }
 
@@ -878,11 +888,15 @@ class SwarmSim {
             hot_[dst_id].dormant_version = offered_gain_version_;
             return false;
         }
-        // Enumerating missing-and-not-in-flight pieces word-at-a-time over
-        // the two bitmaps skips fully-held regions and in-flight fetches in
-        // one OR; candidate order stays ascending, so the rarest-first
-        // choice (and the RNG draw sequence) is unchanged.
-        dst.have.for_each_missing_excluding(dst.inflight, [&](std::size_t p) {
+        // Candidates are enumerated a word at a time: missing, not in
+        // flight, and -- when only free peers can serve (global visibility,
+        // no free publisher slot) -- offered by one of them. Pieces that
+        // cannot pass the test below are never visited, and the order stays
+        // ascending, so the rarest-first choice and the RNG draw sequence
+        // are those of a per-piece scan.
+        const PieceSet& candidates =
+            config_.max_neighbors == 0 && !publisher_free ? offered_ : all_pieces_;
+        dst.have.for_each_missing_masked(dst.inflight, candidates, [&](std::size_t p) {
             // A piece is obtainable if the publisher has a free slot (it
             // holds everything) or some free uploader holds it. Note the
             // subtlety: offered_count_ counts the receiver itself if it is a
@@ -1023,6 +1037,8 @@ class SwarmSim {
     std::vector<PeerId> leechers_;  ///< active downloaders, arrival order
     std::size_t free_uploader_count_ = 0;  ///< peers with hot_[id].free_uploader set
     std::vector<std::uint32_t> offered_count_;   ///< free uploaders holding each piece
+    PieceSet offered_{1};       ///< pieces with offered_count_ > 0
+    PieceSet all_pieces_{1};    ///< every piece: the scan mask when any piece may do
     std::uint64_t offered_gain_version_ = 0;     ///< bumped when new pieces get offered
     PeerId next_peer_id_ = 1;
 

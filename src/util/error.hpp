@@ -9,6 +9,13 @@
 // SWARMAVAIL_REQUIRE / SWARMAVAIL_INVARIANT / SWARMAVAIL_ASSERT macros in
 // new code; these function forms remain for call sites where a macro is
 // awkward (e.g. inside other macros, or when the condition is a variable).
+//
+// The function forms are for cold paths: constructors, config validation,
+// once-per-call API checks. Their `message` parameter is a std::string, so
+// every call -- even one whose check passes -- builds and frees a string
+// from the literal. On a path that runs per event or per term, use the
+// macros, which build the message only on failure. swarmlint's
+// contract-header-macro rule keeps the function forms out of headers.
 #pragma once
 
 #include <source_location>

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/error.hpp"
+#include "util/check.hpp"
 
 namespace swarmavail {
 
@@ -66,13 +66,13 @@ class Rng {
 
     /// Uniform double in [lo, hi). Requires lo < hi.
     [[nodiscard]] double uniform(double lo, double hi) {
-        require(lo < hi, "uniform(lo, hi): requires lo < hi");
+        SWARMAVAIL_REQUIRE(lo < hi, "uniform(lo, hi): requires lo < hi");
         return lo + (hi - lo) * uniform();
     }
 
     /// Uniform integer in [0, n). Requires n > 0.
     [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n) {
-        require(n > 0, "uniform_index: requires n > 0");
+        SWARMAVAIL_REQUIRE(n > 0, "uniform_index: requires n > 0");
         // Lemire's nearly-divisionless bounded sampling with rejection.
         std::uint64_t x = (*this)();
         __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
@@ -92,7 +92,7 @@ class Rng {
     /// Inline for the same reason as the draws above: every simulated
     /// arrival, transfer, and residence time is one of these.
     [[nodiscard]] double exponential_mean(double mean) {
-        require(mean > 0.0, "exponential_mean: requires mean > 0");
+        SWARMAVAIL_REQUIRE(mean > 0.0, "exponential_mean: requires mean > 0");
         double v = uniform();
         // uniform() can return exactly 0; -log(0) would be inf.
         while (v <= 0.0) {
@@ -103,7 +103,7 @@ class Rng {
 
     /// Exponential variate with the given rate. Requires rate > 0.
     [[nodiscard]] double exponential_rate(double rate) {
-        require(rate > 0.0, "exponential_rate: requires rate > 0");
+        SWARMAVAIL_REQUIRE(rate > 0.0, "exponential_rate: requires rate > 0");
         return exponential_mean(1.0 / rate);
     }
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 namespace swarmavail::sim {
@@ -84,6 +86,15 @@ TEST(EventQueue, SchedulingInThePastThrows) {
     queue.schedule_at(5.0, [] {});
     queue.run_until(5.0);
     EXPECT_THROW((void)queue.schedule_at(4.0, [] {}), std::invalid_argument);
+}
+
+TEST(EventQueue, SchedulingAtNonFiniteTimeThrows) {
+    EventQueue queue;
+    EXPECT_THROW((void)queue.schedule_at(std::numeric_limits<double>::quiet_NaN(), [] {}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)queue.schedule_at(std::numeric_limits<double>::infinity(), [] {}),
+                 std::invalid_argument);
+    EXPECT_EQ(queue.size(), 0U);
 }
 
 TEST(EventQueue, EventsCanScheduleMoreEvents) {

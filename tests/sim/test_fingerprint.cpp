@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "catalog/bundling_policy.hpp"
@@ -19,6 +20,7 @@
 #include "catalog/report.hpp"
 #include "sim/availability_sim.hpp"
 #include "sim/event_queue.hpp"
+#include "swarm/capacity.hpp"
 #include "swarm/swarm_sim.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
@@ -327,6 +329,80 @@ TEST(FingerprintGolden, SwarmSimDigestIsPinned) {
     const auto result = swarm::run_swarm_sim(swarm_config(21));
     EXPECT_EQ(result.fingerprint, 8199231960268606422ULL);
     EXPECT_EQ(result.fingerprint_events, 2461U);
+#endif
+}
+
+// The digests below were recorded before the swarm engine's rarest-first
+// scan moved to an offered-piece bitmap. Each pins one branch of that scan:
+// the free-uploader mask (fig6), the publisher's super-seeding test, the
+// tracker/PEX path of limited visibility, and capped transfer rates with
+// lingering seeds (offers that outlive a peer's download).
+
+swarm::SwarmSimConfig fig6_k8_config() {
+    // Figure 6(b) at K = 8: BitTyrant capacities, on/off publisher (300 s
+    // on, 900 s off), arrivals for 1200 s, then a drain of up to 3x that.
+    swarm::SwarmSimConfig config;
+    config.bundle_size = 8;
+    config.peer_arrival_rate = 1.0 / 60.0;
+    config.peer_capacity = std::make_shared<swarm::BitTyrantCapacity>();
+    config.publisher_capacity = 100.0 * swarm::kKBps;
+    config.publisher = swarm::PublisherBehavior::kOnOff;
+    config.publisher_on_mean = 300.0;
+    config.publisher_off_mean = 900.0;
+    config.horizon = 1200.0;
+    config.drain_after_horizon = true;
+    config.drain_deadline_factor = 3.0;
+    config.seed = 8009;
+    return config;
+}
+
+TEST(FingerprintGolden, SwarmFig6K8DigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    const auto result = swarm::run_swarm_sim(fig6_k8_config());
+    EXPECT_EQ(result.fingerprint, 15193015035422990241ULL);
+    EXPECT_EQ(result.fingerprint_events, 10144U);
+#endif
+}
+
+TEST(FingerprintGolden, SwarmSuperSeedingDigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    auto config = swarm_config(23);
+    config.super_seeding = true;
+    const auto result = swarm::run_swarm_sim(config);
+    EXPECT_EQ(result.fingerprint, 8544323725054038897ULL);
+    EXPECT_EQ(result.fingerprint_events, 1853U);
+#endif
+}
+
+TEST(FingerprintGolden, SwarmLimitedVisibilityDigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    auto config = swarm_config(24);
+    config.max_neighbors = 3;
+    const auto result = swarm::run_swarm_sim(config);
+    EXPECT_EQ(result.fingerprint, 189331392591538949ULL);
+    EXPECT_EQ(result.fingerprint_events, 2166U);
+#endif
+}
+
+TEST(FingerprintGolden, SwarmReciprocityLingeringDigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    auto config = swarm_config(25);
+    config.peer_capacity = std::make_shared<swarm::BitTyrantCapacity>();
+    config.reciprocity_cap = true;
+    config.peers_linger = true;
+    config.linger_mean = 300.0;
+    config.drain_after_horizon = true;
+    const auto result = swarm::run_swarm_sim(config);
+    EXPECT_EQ(result.fingerprint, 12666822017295187673ULL);
+    EXPECT_EQ(result.fingerprint_events, 2375U);
 #endif
 }
 

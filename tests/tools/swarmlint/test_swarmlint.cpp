@@ -206,6 +206,12 @@ TEST(SwarmlintFixtures, ContractRequireNumericBad) {
 TEST(SwarmlintFixtures, ContractRequireNumericGood) {
     expect_fixture("contract_require_numeric_good.cpp");
 }
+TEST(SwarmlintFixtures, ContractHeaderMacroBad) {
+    expect_fixture("contract_header_macro_bad.cpp");
+}
+TEST(SwarmlintFixtures, ContractHeaderMacroGood) {
+    expect_fixture("contract_header_macro_good.cpp");
+}
 TEST(SwarmlintFixtures, HygienePragmaOnceBad) {
     expect_fixture("hygiene_pragma_once_bad.cpp");
 }

@@ -104,6 +104,7 @@ TEST(Rng, ExponentialRateIsReciprocalMean) {
 TEST(Rng, ExponentialRejectsNonPositive) {
     Rng rng{23};
     EXPECT_THROW((void)rng.exponential_mean(0.0), std::invalid_argument);
+    EXPECT_THROW((void)rng.exponential_rate(0.0), std::invalid_argument);
     EXPECT_THROW((void)rng.exponential_rate(-1.0), std::invalid_argument);
 }
 

@@ -706,6 +706,37 @@ void check_contract_require_numeric(RuleContext& ctx) {
     }
 }
 
+void check_contract_header_macro(RuleContext& ctx) {
+    const string_view path = ctx.file.path();
+    if (!is_header(path) || classify_path(path) == Layer::kOther ||
+        path == "src/util/error.hpp" || path == "src/util/check.hpp") {
+        return;
+    }
+    const string_view code = ctx.file.code();
+    for_each_identifier(code, [&](string_view name, std::size_t off) {
+        if (name != "require" && name != "ensure") {
+            return;
+        }
+        if (next_nonspace(code, off + name.size()) != '(') {
+            return;
+        }
+        const char prev = off > 0 ? prev_nonspace(code, off) : '\0';
+        if (prev == '.' || prev == '>') {
+            return;  // a member function of the same name
+        }
+        const int line = ctx.file.line_of_offset(off);
+        if (ctx.file.is_directive_line(line)) {
+            return;
+        }
+        ctx.report("contract-header-macro", line,
+                   std::string("function-form ").append(name).append(
+                       "() in a header: its std::string message is built on every "
+                       "call, even when the check passes, and header code is "
+                       "inlined into hot loops; use SWARMAVAIL_REQUIRE / "
+                       "SWARMAVAIL_INVARIANT, which build it only on failure"));
+    });
+}
+
 // ---------------------------------------------------------------------------
 // hygiene family
 // ---------------------------------------------------------------------------
@@ -874,6 +905,12 @@ const std::vector<Rule>& all_rules() {
          "double/float parameters must contain a SWARMAVAIL_REQUIRE-family "
          "domain check in their definition.",
          &check_contract_require_numeric},
+        {"contract-header-macro",
+         "Headers under src/ (other than util/error.hpp and util/check.hpp) "
+         "check contracts with the SWARMAVAIL_REQUIRE/INVARIANT macros, not "
+         "the function-form require()/ensure(), whose message string is "
+         "allocated on every call.",
+         &check_contract_header_macro},
         {"hygiene-pragma-once",
          "Every header carries '#pragma once'.",
          &check_hygiene_pragma_once},
