@@ -6,14 +6,13 @@
 // Usage:
 //   catalog_bundling [--policy none|fixedk|greedy] [--k K] [--files N]
 //                    [--alpha A] [--demand LAMBDA] [--horizon H] [--seed S]
-//                    [--threads T] [--shared] [--partitioned] [--json]
+//                    [--threads T] [--partitioned] [--json]
 //                    [--trace-swarm I --trace-out FILE] [--no-sweep]
 //                    [--telemetry-out FILE] [--telemetry-interval SECONDS]
 //                    [--telemetry-prom FILE] [--stop-ci TARGET]
 //
-// --shared runs every swarm multiplexed on one event queue (bit-identical
-// to the default sharded-parallel mode); --trace-swarm writes one swarm's
-// JSONL trace for replay with examples/trace_inspect.
+// The report is bit-identical at every --threads value; --trace-swarm
+// writes one swarm's JSONL trace for replay with examples/trace_inspect.
 //
 // --telemetry-out streams periodic JSONL snapshots of the running catalog
 // (watch them live with examples/telemetry_watch), --telemetry-prom keeps
@@ -49,7 +48,6 @@ struct Options {
     double horizon = 2.0e5;
     std::uint64_t seed = 42;
     std::size_t threads = 0;  // 0: SWARMAVAIL_THREADS / hardware concurrency
-    bool shared_queue = false;
     bool partitioned = false;
     bool json = false;
     bool sweep = true;
@@ -71,7 +69,6 @@ struct Options {
               << "  --horizon H                   simulated seconds (default 2e5)\n"
               << "  --seed S                      base seed (swarm i uses S+i)\n"
               << "  --threads T                   sharded worker count (0 = auto)\n"
-              << "  --shared                      one shared event queue, one thread\n"
               << "  --partitioned                 split publisher budget over swarms\n"
               << "  --json                        dump the full report as JSON\n"
               << "  --trace-swarm I               trace swarm I (JSONL)\n"
@@ -111,8 +108,6 @@ Options parse_options(int argc, char** argv) {
             opt.seed = std::stoull(std::string{value(i)});
         } else if (arg == "--threads") {
             opt.threads = std::stoul(std::string{value(i)});
-        } else if (arg == "--shared") {
-            opt.shared_queue = true;
         } else if (arg == "--partitioned") {
             opt.partitioned = true;
         } else if (arg == "--json") {
@@ -159,9 +154,6 @@ swarmavail::catalog::CatalogEngineConfig engine_config(const Options& opt) {
     swarmavail::catalog::CatalogEngineConfig config;
     config.horizon = opt.horizon;
     config.seed = opt.seed;
-    config.execution = opt.shared_queue
-                           ? swarmavail::catalog::ExecutionMode::kSharedQueue
-                           : swarmavail::catalog::ExecutionMode::kSharded;
     config.policy.threads = opt.threads;
     return config;
 }
@@ -204,9 +196,6 @@ void print_policy_run(const Options& opt) {
         config.telemetry = session.get();
     }
     if (opt.stop_ci > 0.0) {
-        if (opt.shared_queue) {
-            usage_error("--stop-ci requires the sharded execution mode");
-        }
         config.stop_rule = telemetry::StopRule{opt.stop_ci, 8};
     }
 

@@ -2,21 +2,18 @@
 // catalog in one run.
 //
 // Given a policy's SwarmPlan, the engine builds one AvailabilityProcess per
-// swarm (seeded seed + swarm_index) and executes them either
-//
-//   - kSharded: each swarm on its own private EventQueue, fanned across
-//     sim::Parallel with per-index result buffering and index-order merge —
-//     the same determinism contract as run_replications, so every thread
-//     count (including 1) produces a bit-identical CatalogReport; or
-//   - kSharedQueue: all swarms multiplexed onto ONE EventQueue on the
-//     calling thread. Because each process draws randomness only in its own
-//     handlers from its own Rng, interleaving does not perturb any swarm's
-//     sample path: the shared-queue report is bit-identical to the sharded
-//     one (pinned by tests/catalog/test_catalog_engine.cpp).
+// swarm (seeded seed + swarm_index) and runs each swarm on its own private
+// EventQueue, fanned across sim::Parallel with per-index result buffering
+// and index-order merge — the same determinism contract as
+// run_replications, so every thread count (including 1) produces a
+// bit-identical CatalogReport.
 //
 // Swarms in the plan are statistically independent given the policy (they
-// share no peers, no publishers, no capacity), which is what makes both
-// executions exact rather than approximations of each other.
+// share no peers, no publishers, no capacity), which is what makes the
+// per-swarm execution exact. Each process draws randomness only in its own
+// handlers from its own Rng, so interleaving every swarm on one queue gives
+// the same report bit for bit; tests/catalog/shared_queue_oracle.hpp runs
+// that interleaving as a test oracle.
 #pragma once
 
 #include <cstddef>
@@ -40,10 +37,12 @@ class Tracer;
 
 namespace swarmavail::catalog {
 
-/// How the engine executes the per-swarm processes.
+/// How the engine executes the per-swarm processes. There is one mode; the
+/// enum and CatalogEngineConfig::execution remain only because the
+/// benchmark's workload code (perfbench/src/sim_workloads.cpp) still
+/// assigns them. Delete both once it stops doing so.
 enum class ExecutionMode {
-    kSharded,      ///< private queue per swarm, parallel fan-out (default)
-    kSharedQueue,  ///< one queue, single thread — the multiplexed engine
+    kSharded,  ///< private queue per swarm, parallel fan-out
 };
 
 /// Sentinel: no swarm is traced.
@@ -57,9 +56,9 @@ struct CatalogEngineConfig {
     bool patient_peers = true;           ///< wait for a publisher vs leave
     double linger_time = 0.0;            ///< post-completion seeding (s)
     bool debug_audit = false;            ///< per-event invariant audits
+    /// The only mode; kept for the benchmark (see ExecutionMode).
     ExecutionMode execution = ExecutionMode::kSharded;
-    /// Thread policy for kSharded (ignored by kSharedQueue). Results are
-    /// bit-identical at every thread count.
+    /// Thread policy. Results are bit-identical at every thread count.
     sim::ParallelPolicy policy{};
     /// Optional registry receiving the "catalog.*" aggregates (see
     /// report.hpp record_metrics). Must outlive the call.
@@ -73,22 +72,22 @@ struct CatalogEngineConfig {
     /// Optional live-telemetry session. Pure observer: swarm progress,
     /// dispatched-event and sim-time counters, and per-swarm arrival
     /// unavailability (tracked as "catalog.swarm_unavailability") are
-    /// published as swarms complete (kSharded) or per horizon slice
-    /// (kSharedQueue); the report is bit-identical attached or detached.
+    /// published as swarms complete; the report is bit-identical attached
+    /// or detached.
     telemetry::TelemetrySession* telemetry = nullptr;
-    /// Optional early stop over per-swarm arrival unavailability (kSharded
-    /// only): once the rule is satisfied by the swarms completed so far,
-    /// remaining swarms are skipped and the report covers only the swarms
-    /// that ran (stopped_early = true, demand weights renormalized over the
-    /// covered files). Under ParallelPolicy{1} the covered prefix is
+    /// Optional early stop over per-swarm arrival unavailability: once the
+    /// rule is satisfied by the swarms completed so far, remaining swarms
+    /// are skipped and the report covers only the swarms that ran
+    /// (stopped_early = true, demand weights renormalized over the covered
+    /// files). Under ParallelPolicy{1} the covered prefix is
     /// deterministic; with more threads the cut point depends on
     /// scheduling, which is why the decision is recorded in the report.
     std::optional<telemetry::StopRule> stop_rule{};
     /// Determinism fingerprints (see sim/fingerprint.hpp): every swarm
-    /// folds its own event path process-side — queue-agnostic, so sharded
-    /// and shared-queue runs digest identically — and the report combines
-    /// the per-swarm digests in swarm-index order into one catalog-wide
-    /// fingerprint. Pure observer; ignored when the build defines
+    /// folds its own event path process-side — queue-agnostic, so a swarm
+    /// digests identically on a private or a shared queue — and the report
+    /// combines the per-swarm digests in swarm-index order into one
+    /// catalog-wide fingerprint. Pure observer; ignored when the build defines
     /// SWARMAVAIL_FINGERPRINT_DISABLED.
     bool fingerprint = true;
 };

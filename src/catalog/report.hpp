@@ -74,7 +74,8 @@ struct CatalogReport {
     /// Catalog-wide determinism fingerprint: every covered swarm's
     /// (index, digest, event count) folded in swarm-index order (see
     /// sim/fingerprint.hpp). A pure function of the per-swarm digests, so
-    /// sharded and shared-queue runs at any thread count must agree here.
+    /// runs at any thread count, and the shared-queue test oracle, must
+    /// agree here.
     /// 0 when fingerprinting was off or compiled out.
     std::uint64_t fingerprint = 0;
 

@@ -129,7 +129,6 @@ RefineOutcome run_refine(const RefineRequest& request, std::size_t refine_thread
     config.coverage_threshold = request.coverage_threshold;
     config.patient_peers = request.patient_peers;
     config.linger_time = request.linger_time;
-    config.execution = catalog::ExecutionMode::kSharded;
     config.policy.threads = refine_threads == 0 ? 1 : refine_threads;
     if (request.stop_ci > 0.0) {
         config.stop_rule =

@@ -31,8 +31,8 @@ constexpr std::size_t kDurationHistBins = 20;
 /// allocates. The old layout — two unordered_maps (peer state plus a
 /// separate downloading index) — cost two node allocations per served peer
 /// and scattered the per-swarm state across the heap, which dominated the
-/// shared-queue catalog profile where thousands of mostly-idle swarms each
-/// touch their state once per event.
+/// catalog profile where thousands of mostly-idle swarms each touch their
+/// state only a few times.
 struct PeerState {
     std::uint64_t id = 0;
     SimTime arrival = 0.0;
@@ -71,7 +71,8 @@ const AvailabilitySimConfig& validated(const AvailabilitySimConfig& config) {
 /// happens inside this process's event handlers using its private rng_, and
 /// every scheduled event belongs to this process, so the sample path is a
 /// function of the config alone — co-tenants on a shared queue cannot
-/// perturb it (cross-swarm determinism; pinned by the catalog-engine tests).
+/// perturb it (cross-swarm determinism; pinned by the catalog-engine tests
+/// against their shared-queue oracle).
 struct AvailabilityProcess::Impl {
     Impl(EventQueue& queue, const AvailabilitySimConfig& config)
         : config_(validated(config)),
@@ -167,8 +168,8 @@ struct AvailabilityProcess::Impl {
 
     /// Samples the population/queue-depth gauges; called at arrivals and
     /// completions so the gauge statistics form an event-sampled series.
-    /// Note queue_depth counts the whole queue: on a shared queue it
-    /// includes co-tenant events (which is why the catalog engine leaves
+    /// Note queue_depth counts the whole queue: on a shared queue it would
+    /// include co-tenant events (one reason the catalog engine leaves
     /// per-swarm metrics unbound).
     void sample_gauges() {
         if (m_peers_gauge_ != nullptr) {
@@ -492,13 +493,13 @@ struct AvailabilityProcess::Impl {
         audit_state();
     }
 
-    // Declaration order doubles as cache layout: in the shared-queue
-    // catalog engine every event lands on a cold Impl (thousands of swarms
-    // round-robin through one queue), so the fields an event handler always
-    // touches — config, rng, queue, the population scalars and flags — are
-    // packed up front, the per-event-type process objects follow, and the
-    // result accumulator plus the metric pointers (null in benchmarks,
-    // resolved once in bind_metrics) trail at the end.
+    // Declaration order doubles as cache layout: a catalog run touches
+    // thousands of mostly-idle swarms, so most events land on a cold Impl.
+    // The fields an event handler always touches — config, rng, queue, the
+    // population scalars and flags — are packed up front, the
+    // per-event-type process objects follow, and the result accumulator
+    // plus the metric pointers (null in benchmarks, resolved once in
+    // bind_metrics) trail at the end.
     AvailabilitySimConfig config_;
     Rng rng_;
     EventQueue& queue_;

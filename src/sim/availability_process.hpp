@@ -1,13 +1,13 @@
 // One swarm's busy-period process, attachable to a caller-owned EventQueue.
 //
-// AvailabilityProcess is the engine behind run_availability_sim, factored
-// out so many statistically independent swarms can be multiplexed onto one
-// shared queue (the catalog engine's shared-queue mode). Each process owns
-// its Rng (seeded from its config), draws randomness only inside its own
-// event handlers, and schedules only its own events — so a process's sample
-// path depends solely on its config, never on what else shares the queue.
-// Interleaving N processes on one queue therefore reproduces, bit for bit,
-// the results of running each in isolation (see DESIGN.md §11).
+// AvailabilityProcess is the engine behind run_availability_sim and the
+// catalog engine, which runs one process per swarm on a private queue. Each
+// process owns its Rng (seeded from its config), draws randomness only
+// inside its own event handlers, and schedules only its own events — so a
+// process's sample path depends solely on its config, never on what else
+// shares the queue. Interleaving N processes on one queue therefore
+// reproduces, bit for bit, the results of running each in isolation; the
+// catalog tests' shared-queue oracle checks exactly that (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>

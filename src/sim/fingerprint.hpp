@@ -9,12 +9,13 @@
 // fingerprint is two 64-bit words regardless of how many events it folds.
 //
 // Fingerprints make the repo's determinism contract — bit-identical results
-// at any thread count, sharded ≡ shared-queue catalogs, event queue ≡
-// reference heap dispatch — an O(1)-comparable observable instead of an
-// O(report) byte-compare: two runs took the same event path iff their
-// digests match (up to 64-bit collision odds). Per-swarm digests fold per-process event
-// handling (queue-agnostic, so multiplexing swarms on a shared queue folds
-// the same sequence as private queues); per-queue digests fold the raw
+// at any thread count, the sharded catalog engine ≡ its shared-queue test
+// oracle, event queue ≡ reference heap dispatch — an O(1)-comparable
+// observable instead of an O(report) byte-compare: two runs took the same
+// event path iff their digests match (up to 64-bit collision odds).
+// Per-swarm digests fold per-process event handling (queue-agnostic, so
+// multiplexing swarms on a shared queue folds the same sequence as private
+// queues); per-queue digests fold the raw
 // dispatch stream (see EventQueue::set_fingerprint); catalog/cell digests
 // fold their children strictly in index order, so any thread count merges
 // to the same value.

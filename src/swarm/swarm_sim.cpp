@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 
 #include "sim/audit.hpp"
 #include "sim/event_queue.hpp"
@@ -49,7 +48,7 @@ struct Peer {
     SimTime arrival = 0.0;
     std::size_t record_index = 0;  ///< this peer's row in result_.peers
     bool seed_only = false;  ///< completed and lingering: uploads, never downloads
-    std::unordered_set<PeerId> neighbors{};       ///< visible peers (PEX/tracker)
+    std::vector<PeerId> neighbors{};              ///< visible peers, sorted by id
     std::vector<TransferId> up_transfers{};       ///< transfers it serves
     std::vector<TransferId> down_transfers{};     ///< transfers it receives
 };
@@ -68,6 +67,27 @@ void erase_value(std::vector<TransferId>& values, TransferId value) {
     if (it != values.end()) {
         *it = values.back();
         values.pop_back();
+    }
+}
+
+/// Neighbor sets are id-sorted vectors: membership is a binary search,
+/// iteration order is canonical (the RNG draws in pex_expand index it
+/// directly), and an edge costs no node allocation.
+[[nodiscard]] bool is_neighbor(const std::vector<PeerId>& neighbors, PeerId id) {
+    return std::binary_search(neighbors.begin(), neighbors.end(), id);
+}
+
+void add_neighbor(std::vector<PeerId>& neighbors, PeerId id) {
+    const auto it = std::lower_bound(neighbors.begin(), neighbors.end(), id);
+    if (it == neighbors.end() || *it != id) {
+        neighbors.insert(it, id);
+    }
+}
+
+void remove_neighbor(std::vector<PeerId>& neighbors, PeerId id) {
+    const auto it = std::lower_bound(neighbors.begin(), neighbors.end(), id);
+    if (it != neighbors.end() && *it == id) {
+        neighbors.erase(it);
     }
 }
 
@@ -614,11 +634,10 @@ class SwarmSim {
             auto& list = holder_list_[p];
             list.erase(std::remove(list.begin(), list.end(), id), list.end());
         });
-        // swarmlint-allow(det-unordered-iter): erases `id` from each neighbor's set by key; per-edge, commutative, no RNG
         for (const PeerId other : peer.neighbors) {
             Peer* other_peer = find_peer(other);
             if (other_peer != nullptr) {
-                other_peer->neighbors.erase(id);
+                remove_neighbor(other_peer->neighbors, id);
             }
         }
         leechers_.erase(std::remove(leechers_.begin(), leechers_.end(), id),
@@ -805,12 +824,15 @@ class SwarmSim {
             std::swap(candidates[i - 1], candidates[rng_.uniform_index(i)]);
         }
         Peer& me = peer_at(id);
+        // One allocation up front for the view PEX may grow to (the cap in
+        // pex_expand), instead of one per doubling.
+        me.neighbors.reserve(4 * config_.max_neighbors);
         for (const PeerId other : candidates) {
             if (me.neighbors.size() >= config_.max_neighbors) {
                 break;
             }
-            me.neighbors.insert(other);
-            peer_at(other).neighbors.insert(id);
+            add_neighbor(me.neighbors, other);
+            add_neighbor(peer_at(other).neighbors, id);
         }
     }
 
@@ -822,32 +844,25 @@ class SwarmSim {
         if (me.neighbors.empty()) {
             return false;
         }
-        // swarmlint-allow(det-unordered-iter): snapshot order is discarded by the sort below
-        pex_view_.assign(me.neighbors.begin(), me.neighbors.end());
-        // The RNG draw indexes into this view; sort so the draw lands on the
-        // same neighbor regardless of hash layout.
-        std::sort(pex_view_.begin(), pex_view_.end());
-        const PeerId via = pex_view_[rng_.uniform_index(pex_view_.size())];
+        const PeerId via = me.neighbors[rng_.uniform_index(me.neighbors.size())];
         const Peer* via_peer = find_peer(via);
         if (via_peer == nullptr) {
             return false;
         }
         bool added = false;
         // Adoption stops at the view cap, so which candidates make the cut
-        // depends on traversal order; canonicalize it.
-        // swarmlint-allow(det-unordered-iter): snapshot order is discarded by the sort below
-        pex_adopt_.assign(via_peer->neighbors.begin(), via_peer->neighbors.end());
-        std::sort(pex_adopt_.begin(), pex_adopt_.end());
-        for (const PeerId candidate : pex_adopt_) {
-            if (candidate == id || me.neighbors.count(candidate) != 0) {
+        // depends on traversal order: ascending id. The loop edits only the
+        // lists of `me` and of each candidate, never via_peer's own.
+        for (const PeerId candidate : via_peer->neighbors) {
+            if (candidate == id || is_neighbor(me.neighbors, candidate)) {
                 continue;
             }
             Peer* candidate_peer = find_peer(candidate);
             if (candidate_peer == nullptr) {
                 continue;
             }
-            me.neighbors.insert(candidate);
-            candidate_peer->neighbors.insert(id);
+            add_neighbor(me.neighbors, candidate);
+            add_neighbor(candidate_peer->neighbors, id);
             added = true;
             if (me.neighbors.size() >= 4 * config_.max_neighbors) {
                 break;
@@ -859,7 +874,7 @@ class SwarmSim {
     [[nodiscard]] bool has_free_visible_uploader(std::size_t piece, PeerId dst_id,
                                                  const Peer& dst) const {
         for (const PeerId src : holder_list_[piece]) {
-            if (src == dst_id || dst.neighbors.count(src) == 0) {
+            if (src == dst_id || !is_neighbor(dst.neighbors, src)) {
                 continue;
             }
             if (hot_[src].free_uploader != 0) {
@@ -964,7 +979,7 @@ class SwarmSim {
             if (src == dst_id) {
                 continue;
             }
-            if (config_.max_neighbors > 0 && dst_view.neighbors.count(src) == 0) {
+            if (config_.max_neighbors > 0 && !is_neighbor(dst_view.neighbors, src)) {
                 continue;
             }
             if (hot_[src].free_uploader != 0) {
@@ -1076,13 +1091,11 @@ class SwarmSim {
 
     // Scratch buffers reused across events (the per-event vector churn
     // showed up in the micro benches). Each has exactly one non-reentrant
-    // user: pump passes, source selection, tracker handouts, PEX pulls,
-    // and transfer-cancellation snapshots never nest with themselves.
+    // user: pump passes, source selection, tracker handouts and
+    // transfer-cancellation snapshots never nest with themselves.
     std::vector<PeerId> pump_order_;
     std::vector<PeerId> source_candidates_;
     std::vector<PeerId> tracker_candidates_;
-    std::vector<PeerId> pex_view_;
-    std::vector<PeerId> pex_adopt_;
     std::vector<TransferId> cancel_snapshot_;
 
     // Cached metric references (null when config_.metrics is null); see

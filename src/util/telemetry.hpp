@@ -72,13 +72,12 @@ struct RunCounters {
     std::atomic<std::uint64_t> swarms_total{0};
     std::atomic<std::uint64_t> swarms_completed{0};
     std::atomic<std::uint64_t> events_dispatched{0};
-    /// Completed simulated seconds, summed over finished work units (and
-    /// advanced incrementally by the shared-queue engine's slices).
+    /// Completed simulated seconds, summed over finished work units.
     std::atomic<double> sim_time_advanced{0.0};
     /// Total simulated seconds the run intends to execute (0 if unknown).
     std::atomic<double> sim_time_target{0.0};
-    /// Pending-work gauge, last writer wins: event-queue depth in shared-
-    /// queue/single-sim runs, unclaimed fan-out indices under sim::Parallel.
+    /// Pending-work gauge, last writer wins: unclaimed fan-out indices
+    /// under sim::Parallel, queued requests in the planning server.
     std::atomic<double> queue_depth{0.0};
     /// Running XOR of completed work units' determinism fingerprints (see
     /// sim/fingerprint.hpp). XOR is commutative, so the value at run

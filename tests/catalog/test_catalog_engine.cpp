@@ -15,6 +15,7 @@
 #include "catalog/report.hpp"
 #include "model/availability.hpp"
 #include "model/params.hpp"
+#include "shared_queue_oracle.hpp"
 #include "sim/availability_sim.hpp"
 #include "sim/trace.hpp"
 #include "util/metrics.hpp"
@@ -118,16 +119,15 @@ TEST(CatalogEngine, SharedQueueMatchesShardedBitExactly) {
     const GreedyPopularity policy{4};
     auto config = base_engine_config(2.0e4);
 
-    config.execution = ExecutionMode::kSharded;
     config.policy.threads = 4;
     const std::string sharded = report_json(run_catalog(catalog, policy, config));
 
-    config.execution = ExecutionMode::kSharedQueue;
-    EXPECT_EQ(report_json(run_catalog(catalog, policy, config)), sharded);
+    const auto oracle = shared_queue_oracle(catalog, policy.assign(catalog), config);
+    EXPECT_EQ(report_json(oracle), sharded);
 }
 
-// The PR acceptance run: a 10k-file Zipf catalog bundled FixedK(8) — 1250
-// swarms — completes under every execution mode with bit-identical reports.
+// A 10k-file Zipf catalog bundled FixedK(8) — 1250 swarms — gives
+// bit-identical reports at 1 and 4 threads and on the shared-queue oracle.
 TEST(CatalogEngine, TenThousandFileCatalogBitIdenticalEverywhere) {
     auto catalog_config = base_catalog_config(10000);
     catalog_config.aggregate_demand = 1.0;
@@ -146,8 +146,8 @@ TEST(CatalogEngine, TenThousandFileCatalogBitIdenticalEverywhere) {
     config.policy.threads = 4;
     EXPECT_EQ(report_json(run_catalog(catalog, policy, config)), serial);
 
-    config.execution = ExecutionMode::kSharedQueue;
-    EXPECT_EQ(report_json(run_catalog(catalog, policy, config)), serial);
+    const auto oracle = shared_queue_oracle(catalog, policy.assign(catalog), config);
+    EXPECT_EQ(report_json(oracle), serial);
 }
 
 // Measured catalog unavailability vs K must decrease and track the
@@ -232,13 +232,13 @@ TEST(CatalogEngine, TracedSwarmMatchesIsolatedRun) {
     const auto plan = policy.assign(catalog);
 
     auto config = base_engine_config(2.0e4);
-    config.execution = ExecutionMode::kSharedQueue;  // interleaved on one queue
     config.traced_swarm = 1;
     sim::MemoryTraceSink catalog_sink;
     sim::Tracer catalog_tracer{catalog_sink};
     catalog_tracer.set_enabled(true);
     config.tracer = &catalog_tracer;
-    (void)run_catalog_plan(catalog, plan, config);
+    // Interleaved with the other swarms on one queue.
+    (void)shared_queue_oracle(catalog, plan, config);
     catalog_tracer.flush();
 
     sim::MemoryTraceSink isolated_sink;
@@ -249,8 +249,18 @@ TEST(CatalogEngine, TracedSwarmMatchesIsolatedRun) {
     (void)sim::run_availability_sim(isolated_config);
     isolated_tracer.flush();
 
+    // And on the engine's private per-swarm queue.
+    sim::MemoryTraceSink engine_sink;
+    sim::Tracer engine_tracer{engine_sink};
+    engine_tracer.set_enabled(true);
+    config.tracer = &engine_tracer;
+    config.policy.threads = 2;
+    (void)run_catalog_plan(catalog, plan, config);
+    engine_tracer.flush();
+
     ASSERT_FALSE(catalog_sink.records().empty());
     EXPECT_EQ(catalog_sink.records(), isolated_sink.records());
+    EXPECT_EQ(engine_sink.records(), isolated_sink.records());
 }
 
 TEST(CatalogEngine, RecordsCatalogMetrics) {
@@ -295,51 +305,45 @@ TEST(CatalogEngine, ValidatesInputs) {
 
 TEST(CatalogEngine, TelemetryAttachmentIsObserverNeutral) {
     // The acceptance-criterion pin: a run with a live telemetry session
-    // produces a byte-identical report to a detached run, for both
-    // execution modes and several thread counts.
+    // produces a byte-identical report to a detached run, at several
+    // thread counts.
     const auto catalog = build_catalog(base_catalog_config(30));
     const GreedyPopularity policy{4};
     auto config = base_engine_config(1.0e4);
     config.policy.threads = 1;
     const std::string detached = report_json(run_catalog(catalog, policy, config));
 
-    for (const ExecutionMode mode :
-         {ExecutionMode::kSharded, ExecutionMode::kSharedQueue}) {
-        for (std::size_t threads : {1u, 2u, 4u}) {
-            telemetry::MemoryTelemetryExporter ring;
-            telemetry::TelemetryConfig telemetry_config;
-            telemetry_config.interval_s = 0.005;
-            telemetry_config.exporters.push_back(&ring);
-            telemetry::TelemetrySession session{telemetry_config};
-            session.start();
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        telemetry::MemoryTelemetryExporter ring;
+        telemetry::TelemetryConfig telemetry_config;
+        telemetry_config.interval_s = 0.005;
+        telemetry_config.exporters.push_back(&ring);
+        telemetry::TelemetrySession session{telemetry_config};
+        session.start();
 
-            config.execution = mode;
-            config.policy.threads = threads;
-            config.telemetry = &session;
-            const auto report = run_catalog(catalog, policy, config);
-            session.stop();
-            config.telemetry = nullptr;
+        config.policy.threads = threads;
+        config.telemetry = &session;
+        const auto report = run_catalog(catalog, policy, config);
+        session.stop();
+        config.telemetry = nullptr;
 
-            EXPECT_EQ(report_json(report), detached)
-                << "mode " << static_cast<int>(mode) << ", threads " << threads;
-            EXPECT_FALSE(report.stopped_early);
-            EXPECT_EQ(report.swarms_planned, report.swarms.size());
+        EXPECT_EQ(report_json(report), detached) << "threads " << threads;
+        EXPECT_FALSE(report.stopped_early);
+        EXPECT_EQ(report.swarms_planned, report.swarms.size());
 
-            const auto& final_snapshot = ring.snapshots().back();
-            EXPECT_TRUE(final_snapshot.final_snapshot);
+        const auto& final_snapshot = ring.snapshots().back();
+        EXPECT_TRUE(final_snapshot.final_snapshot);
 #if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
-            // The session really observed the run (under the trace-off
-            // preset the engine call sites compile out and stay at zero).
-            EXPECT_EQ(session.counters().swarms_total.load(), report.swarms.size());
-            EXPECT_EQ(session.counters().swarms_completed.load(),
-                      report.swarms.size());
-            EXPECT_GT(session.counters().events_dispatched.load(), 0u);
-            EXPECT_GT(session.counters().sim_time_advanced.load(), 0.0);
-            ASSERT_EQ(final_snapshot.tracked.size(), 1u);
-            EXPECT_EQ(final_snapshot.tracked[0].name, "catalog.swarm_unavailability");
-            EXPECT_EQ(final_snapshot.tracked[0].count, report.swarms.size());
+        // The session really observed the run (under the trace-off preset
+        // the engine call sites compile out and stay at zero).
+        EXPECT_EQ(session.counters().swarms_total.load(), report.swarms.size());
+        EXPECT_EQ(session.counters().swarms_completed.load(), report.swarms.size());
+        EXPECT_GT(session.counters().events_dispatched.load(), 0u);
+        EXPECT_GT(session.counters().sim_time_advanced.load(), 0.0);
+        ASSERT_EQ(final_snapshot.tracked.size(), 1u);
+        EXPECT_EQ(final_snapshot.tracked[0].name, "catalog.swarm_unavailability");
+        EXPECT_EQ(final_snapshot.tracked[0].count, report.swarms.size());
 #endif
-        }
     }
 }
 
@@ -440,15 +444,6 @@ TEST(CatalogEngine, ThousandFileCatalogStreamsPeriodicTelemetry) {
     EXPECT_TRUE(telemetry::validate_prometheus_text(prom_text.str(), &error))
         << error;
     std::remove(prom_path.c_str());
-}
-
-TEST(CatalogEngine, StopRuleRejectsSharedQueueExecution) {
-    const auto catalog = build_catalog(base_catalog_config(4));
-    auto config = base_engine_config(1.0e3);
-    config.execution = ExecutionMode::kSharedQueue;
-    config.stop_rule = telemetry::StopRule{0.1, 4};
-    EXPECT_THROW((void)run_catalog(catalog, NoBundling{}, config),
-                 std::invalid_argument);
 }
 
 TEST(CatalogEngine, ReportJsonRoundTripsDeterministically) {

@@ -1,7 +1,8 @@
 // Determinism-fingerprint tests: the hash chain itself, observer
 // neutrality (fingerprint on == off results, bit for bit), and the
 // cross-execution invariances the repo's determinism contract promises —
-// identical digests at every thread count, sharded == shared-queue — plus
+// identical digests at every thread count, and the sharded engine equal to
+// the shared-queue test oracle (tests/catalog/shared_queue_oracle.hpp) — plus
 // the converse: a seed perturbation that changes the results must change
 // the digest. The golden tests pin digests across commits: a change that
 // reorders any dispatched event (an event-queue rewrite, a tie-break slip)
@@ -14,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "../catalog/shared_queue_oracle.hpp"
 #include "catalog/bundling_policy.hpp"
 #include "catalog/catalog.hpp"
 #include "catalog/catalog_engine.hpp"
@@ -252,10 +254,9 @@ TEST(FingerprintCatalog, IdenticalAcrossThreadCounts) {
 TEST(FingerprintCatalog, SharedQueueEqualsSharded) {
     const auto cat = catalog::build_catalog(catalog_config(9));
     const catalog::FixedK policy{2};
-    auto config = engine_config();
+    const auto config = engine_config();
     const auto sharded = catalog::run_catalog(cat, policy, config);
-    config.execution = catalog::ExecutionMode::kSharedQueue;
-    const auto shared = catalog::run_catalog(cat, policy, config);
+    const auto shared = catalog::shared_queue_oracle(cat, policy.assign(cat), config);
     EXPECT_EQ(shared.fingerprint, sharded.fingerprint);
     ASSERT_EQ(shared.swarms.size(), sharded.swarms.size());
     for (std::size_t s = 0; s < shared.swarms.size(); ++s) {
@@ -429,8 +430,7 @@ TEST(FingerprintGolden, CatalogSmokeDigestIsPinned) {
     engine.policy = ParallelPolicy{2};
     const auto sharded = catalog::run_catalog(cat, policy, engine);
     EXPECT_EQ(sharded.fingerprint, 11803691400669175464ULL);
-    engine.execution = catalog::ExecutionMode::kSharedQueue;
-    const auto shared = catalog::run_catalog(cat, policy, engine);
+    const auto shared = catalog::shared_queue_oracle(cat, policy.assign(cat), engine);
     EXPECT_EQ(shared.fingerprint, 11803691400669175464ULL);
 #endif
 }
