@@ -53,9 +53,9 @@ struct Peer {
     std::vector<TransferId> down_transfers{};     ///< transfers it receives
 };
 // Peer::down_used, Peer::dormant_version and the free-uploader flag live
-// in a dense per-id side array on SwarmSim instead (hot_): the pump loop
-// reads the first two for every leecher on every pass and most visits end
-// right there (slots full, or dormant), and source selection probes the
+// in a dense per-id side array on SwarmSim instead (hot_): each pump pass
+// reads the first two for every leecher and drops most of them right there
+// (slots full, or dormant), and source selection probes the
 // flag for every holder of the chosen piece. Packing these fields in one
 // flat record spares the pointer-chase into the heap-allocated Peer for
 // probes that never needed the rest of it.
@@ -261,6 +261,7 @@ class SwarmSim {
         m_arrivals_ = &m.counter("swarm.arrivals");
         m_completions_ = &m.counter("swarm.completions");
         m_transfers_started_ = &m.counter("swarm.transfers_started");
+        m_pump_passes_ = &m.counter("swarm.pump_passes");
         m_transfers_completed_ = &m.counter("swarm.transfers_completed");
         m_transfers_cancelled_ = &m.counter("swarm.transfers_cancelled");
         m_publisher_up_ = &m.counter("swarm.publisher_up");
@@ -772,37 +773,94 @@ class SwarmSim {
     /// publisher's) rotate across the swarm like BitTorrent unchokes instead
     /// of being monopolized by the oldest peer, which is what lets a full
     /// copy spread over many peers before the first completion.
+    ///
+    /// The engine's semantics are "repeat passes until one starts nothing",
+    /// but with global visibility that confirming pass is known in advance
+    /// to start nothing, so after a pass that made progress it is replayed
+    /// rather than run. Within one pump the offers only shrink (an uploader
+    /// can only lose free slots, the publisher's free slot can only be used
+    /// up), in-flight sets only grow and no peer's `have` changes. So every
+    /// leecher the first pass left with a free download slot failed a try
+    /// whose candidate set stays empty, or was skipped as dormant and still
+    /// is. A failing try draws no randomness under global visibility (a
+    /// candidate piece always has a source), so the confirming pass has
+    /// exactly two effects: its shuffle's draws, and stamping every leecher
+    /// with a free slot dormant when no publisher slot is free. Limited
+    /// visibility keeps the real loop: a failing try there runs pex_expand,
+    /// which draws and can grow views. Audit mode runs the confirming pass
+    /// for real and checks that it started nothing.
     void pump() {
         SWARMAVAIL_PROF_SCOPE("swarm.choke_pump");
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            // pump() never re-enters itself (event handlers are not run from
-            // inside it), so one scratch vector serves every pass.
-            pump_order_.assign(leechers_.begin(), leechers_.end());
-            for (std::size_t i = pump_order_.size(); i > 1; --i) {
-                std::swap(pump_order_[i - 1], pump_order_[rng_.uniform_index(i)]);
+        if (config_.max_neighbors > 0) {
+            while (pump_pass()) {
             }
-            const bool publisher_free =
-                publisher_on_ && publisher_up_used_ < config_.max_upload_slots;
-            for (std::size_t j = 0; j < pump_order_.size(); ++j) {
-                // The visit order is random, so each hot_ probe is a cold
-                // line; warming the next peer's record overlaps that miss
-                // with this peer's check.
-                if (j + 1 < pump_order_.size()) {
-                    __builtin_prefetch(&hot_[pump_order_[j + 1]]);
-                }
-                const PeerId id = pump_order_[j];
-                if (config_.max_neighbors == 0 && !publisher_free &&
-                    hot_[id].dormant_version == offered_gain_version_) {
-                    continue;  // nothing new offered since its last failure
-                }
-                while (hot_[id].down_used < config_.max_download_slots &&
-                       try_start_transfer(id)) {
-                    progress = true;
+            return;
+        }
+        if (!pump_pass()) {
+            return;
+        }
+        if (config_.debug_audit) {
+            const bool started = pump_pass();
+            SWARMAVAIL_INVARIANT(!started, "SwarmSim: the confirming pump pass started a "
+                                           "transfer");
+            return;
+        }
+        for (std::size_t i = leechers_.size(); i > 1; --i) {
+            (void)rng_.uniform_index(i);
+        }
+        if (!publisher_slot_free()) {
+            for (const PeerId id : leechers_) {
+                PeerHot& hot = hot_[id];
+                if (hot.down_used < config_.max_download_slots) {
+                    hot.dormant_version = offered_gain_version_;
                 }
             }
         }
+    }
+
+    /// One pump pass: shuffles the leechers, compacts the order to the
+    /// peers the pass would try, and tries them. Returns true if it started
+    /// a transfer. The compaction is exact because a peer's filter inputs
+    /// (its own download slots and dormancy stamp; the offer version and
+    /// the pass-start publisher state are fixed for the pass) change only
+    /// during its own visit.
+    bool pump_pass() {
+        if (m_pump_passes_ != nullptr) {
+            m_pump_passes_->add();
+        }
+        // pump() never re-enters itself (event handlers are not run from
+        // inside it), so one scratch vector serves every pass.
+        pump_order_.assign(leechers_.begin(), leechers_.end());
+        const std::size_t n = pump_order_.size();
+        for (std::size_t i = n; i > 1; --i) {
+            std::swap(pump_order_[i - 1], pump_order_[rng_.uniform_index(i)]);
+        }
+        // Dormant peers (nothing new offered since their last failure) are
+        // skipped only when peers are the only sources: a free publisher
+        // slot can serve any piece.
+        const bool skip_dormant = config_.max_neighbors == 0 && !publisher_slot_free();
+        const std::uint64_t version = offered_gain_version_;
+        const std::size_t slots = config_.max_download_slots;
+        std::size_t kept = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+            const PeerId id = pump_order_[j];
+            const PeerHot& hot = hot_[id];
+            const bool awake = !skip_dormant || hot.dormant_version != version;
+            pump_order_[kept] = id;
+            kept += static_cast<std::size_t>(hot.down_used < slots && awake);
+        }
+        bool progress = false;
+        for (std::size_t j = 0; j < kept; ++j) {
+            const PeerId id = pump_order_[j];
+            while (hot_[id].down_used < slots && try_start_transfer(id)) {
+                progress = true;
+            }
+        }
+        return progress;
+    }
+
+    [[nodiscard]] bool publisher_slot_free() const noexcept {
+        return publisher_on_ && publisher_up_used_ < config_.max_upload_slots;
     }
 
     /// Tracker bootstrap: a newcomer learns up to max_neighbors random
@@ -894,8 +952,7 @@ class SwarmSim {
     /// uploaders x pieces) instead of O(pieces x holders).
     bool try_start_transfer(PeerId dst_id) {
         Peer& dst = peer_at(dst_id);
-        const bool publisher_free =
-            publisher_on_ && publisher_up_used_ < config_.max_upload_slots;
+        const bool publisher_free = publisher_slot_free();
         std::size_t best_piece = pieces_total_;
         std::size_t best_rarity = SIZE_MAX;
         std::size_t ties = 0;
@@ -970,8 +1027,7 @@ class SwarmSim {
         // piece, chosen uniformly.
         std::vector<PeerId>& sources = source_candidates_;
         sources.clear();
-        if (publisher_on_ && publisher_up_used_ < config_.max_upload_slots &&
-            (!config_.super_seeding || holders_[piece] == 0)) {
+        if (publisher_slot_free() && (!config_.super_seeding || holders_[piece] == 0)) {
             sources.push_back(kPublisher);
         }
         const Peer& dst_view = peer_at(dst_id);
@@ -1103,6 +1159,7 @@ class SwarmSim {
     Counter* m_arrivals_ = nullptr;
     Counter* m_completions_ = nullptr;
     Counter* m_transfers_started_ = nullptr;
+    Counter* m_pump_passes_ = nullptr;  ///< real pump passes (not replays)
     Counter* m_transfers_completed_ = nullptr;
     Counter* m_transfers_cancelled_ = nullptr;
     Counter* m_publisher_up_ = nullptr;

@@ -27,6 +27,50 @@ std::string offset_message(std::string_view what, std::size_t offset) {
                                 std::to_string(line_no) + ": " + std::string(why));
 }
 
+/// One non-ASCII unit of a byte string: a well-formed UTF-8 sequence, or
+/// a maximal ill-formed subpart -- the longest prefix of a well-formed
+/// sequence found there, at least one byte (Unicode section 3.9, "U+FFFD
+/// substitution of maximal subparts").
+struct Utf8Unit {
+    std::size_t length;
+    bool valid;
+};
+
+/// Scans the unit starting at text[i], a byte >= 0x80. The allowed range of
+/// the second byte depends on the lead (Unicode Table 3-7), which rejects
+/// overlong forms, surrogates and code points beyond U+10FFFF.
+Utf8Unit scan_utf8_unit(std::string_view text, std::size_t i) noexcept {
+    const auto c0 = static_cast<unsigned char>(text[i]);
+    std::size_t extra = 0;
+    unsigned char lo = 0x80;
+    unsigned char hi = 0xBF;
+    if (c0 >= 0xC2 && c0 <= 0xDF) {
+        extra = 1;
+    } else if (c0 >= 0xE0 && c0 <= 0xEF) {
+        extra = 2;
+        lo = c0 == 0xE0 ? 0xA0 : 0x80;
+        hi = c0 == 0xED ? 0x9F : 0xBF;
+    } else if (c0 >= 0xF0 && c0 <= 0xF4) {
+        extra = 3;
+        lo = c0 == 0xF0 ? 0x90 : 0x80;
+        hi = c0 == 0xF4 ? 0x8F : 0xBF;
+    } else {
+        return {1, false};  // stray continuation byte or illegal lead byte
+    }
+    for (std::size_t k = 1; k <= extra; ++k) {
+        if (i + k >= text.size()) {
+            return {k, false};  // truncated sequence
+        }
+        const auto ck = static_cast<unsigned char>(text[i + k]);
+        if (ck < lo || ck > hi) {
+            return {k, false};
+        }
+        lo = 0x80;
+        hi = 0xBF;
+    }
+    return {extra + 1, true};
+}
+
 /// Recursive-descent parser over one string_view; all bounds explicit.
 class Parser {
  public:
@@ -462,53 +506,39 @@ bool parse_json(std::string_view text, JsonValue& out, std::string* error,
 
 bool validate_utf8(std::string_view text) noexcept {
     std::size_t i = 0;
-    const std::size_t n = text.size();
-    while (i < n) {
-        const unsigned char c0 = static_cast<unsigned char>(text[i]);
-        if (c0 < 0x80) {
+    while (i < text.size()) {
+        if (static_cast<unsigned char>(text[i]) < 0x80) {
             ++i;
             continue;
         }
-        std::size_t extra = 0;
-        std::uint32_t cp = 0;
-        std::uint32_t min_cp = 0;
-        if ((c0 & 0xE0) == 0xC0) {
-            extra = 1;
-            cp = c0 & 0x1FU;
-            min_cp = 0x80;
-        } else if ((c0 & 0xF0) == 0xE0) {
-            extra = 2;
-            cp = c0 & 0x0FU;
-            min_cp = 0x800;
-        } else if ((c0 & 0xF8) == 0xF0) {
-            extra = 3;
-            cp = c0 & 0x07U;
-            min_cp = 0x10000;
-        } else {
-            return false;  // stray continuation byte or illegal lead byte
+        const Utf8Unit unit = scan_utf8_unit(text, i);
+        if (!unit.valid) {
+            return false;
         }
-        if (i + extra >= n) {
-            return false;  // truncated sequence
-        }
-        for (std::size_t k = 1; k <= extra; ++k) {
-            const unsigned char ck = static_cast<unsigned char>(text[i + k]);
-            if ((ck & 0xC0) != 0x80) {
-                return false;
-            }
-            cp = (cp << 6) | (ck & 0x3FU);
-        }
-        if (cp < min_cp || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF)) {
-            return false;  // overlong, beyond Unicode, or surrogate
-        }
-        i += extra + 1;
+        i += unit.length;
     }
     return true;
 }
 
 void append_json_string(std::string_view text, std::string& out) {
     out.push_back('"');
-    for (const char raw : text) {
+    std::size_t i = 0;
+    while (i < text.size()) {
+        const char raw = text[i];
         const unsigned char c = static_cast<unsigned char>(raw);
+        if (c >= 0x80) {
+            // JSON text is UTF-8 (RFC 8259 section 8.1): copy well-formed
+            // sequences, and write U+FFFD for each maximal ill-formed one.
+            const Utf8Unit unit = scan_utf8_unit(text, i);
+            if (unit.valid) {
+                out.append(text.substr(i, unit.length));
+            } else {
+                out += "\xEF\xBF\xBD";
+            }
+            i += unit.length;
+            continue;
+        }
+        ++i;
         switch (raw) {
             case '"': out += "\\\""; break;
             case '\\': out += "\\\\"; break;

@@ -128,7 +128,9 @@ void write_canonical_json(const JsonValue& value, std::string& out);
 [[nodiscard]] std::string canonical_json(const JsonValue& value);
 
 /// Appends `text` JSON-escaped (quotes included) to `out`; shared by the
-/// canonical writer and the response builders.
+/// canonical writer and the response builders. ASCII and well-formed UTF-8
+/// pass through (control bytes escaped); each maximal ill-formed UTF-8
+/// subsequence becomes U+FFFD, so the output is always valid JSON text.
 void append_json_string(std::string_view text, std::string& out);
 
 /// Appends the shortest exact decimal form of `value` (format_double_exact)

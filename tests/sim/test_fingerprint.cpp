@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "../catalog/shared_queue_oracle.hpp"
+#include "../swarm/fig6_config.hpp"
 #include "catalog/bundling_policy.hpp"
 #include "catalog/catalog.hpp"
 #include "catalog/catalog_engine.hpp"
@@ -339,29 +340,11 @@ TEST(FingerprintGolden, SwarmSimDigestIsPinned) {
 // tracker/PEX path of limited visibility, and capped transfer rates with
 // lingering seeds (offers that outlive a peer's download).
 
-swarm::SwarmSimConfig fig6_k8_config() {
-    // Figure 6(b) at K = 8: BitTyrant capacities, on/off publisher (300 s
-    // on, 900 s off), arrivals for 1200 s, then a drain of up to 3x that.
-    swarm::SwarmSimConfig config;
-    config.bundle_size = 8;
-    config.peer_arrival_rate = 1.0 / 60.0;
-    config.peer_capacity = std::make_shared<swarm::BitTyrantCapacity>();
-    config.publisher_capacity = 100.0 * swarm::kKBps;
-    config.publisher = swarm::PublisherBehavior::kOnOff;
-    config.publisher_on_mean = 300.0;
-    config.publisher_off_mean = 900.0;
-    config.horizon = 1200.0;
-    config.drain_after_horizon = true;
-    config.drain_deadline_factor = 3.0;
-    config.seed = 8009;
-    return config;
-}
-
 TEST(FingerprintGolden, SwarmFig6K8DigestIsPinned) {
 #if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
     GTEST_SKIP() << "fingerprinting compiled out";
 #else
-    const auto result = swarm::run_swarm_sim(fig6_k8_config());
+    const auto result = swarm::run_swarm_sim(swarm::fig6_k8_config());
     EXPECT_EQ(result.fingerprint, 15193015035422990241ULL);
     EXPECT_EQ(result.fingerprint_events, 10144U);
 #endif
@@ -404,6 +387,105 @@ TEST(FingerprintGolden, SwarmReciprocityLingeringDigestIsPinned) {
     const auto result = swarm::run_swarm_sim(config);
     EXPECT_EQ(result.fingerprint, 12666822017295187673ULL);
     EXPECT_EQ(result.fingerprint_events, 2375U);
+#endif
+}
+
+// The digests below were recorded before the swarm engine's pump replayed
+// its confirming pass instead of running it. Each pins a branch no golden
+// above reaches: no transfer jitter (the default jitter is 0.15, so every
+// other run draws one per transfer, and lock-step transfers tie in time),
+// a publisher that leaves at the first completion (Figure 4), super-seeding
+// from an always-on publisher at K = 8 (passes that start with a free
+// publisher slot), the reciprocity cap without lingering seeds, 100 pieces
+// per file (bitmaps wider than one word), and limited visibility at K = 8
+// (a short horizon: this mode is the engine's costliest per event).
+
+TEST(FingerprintGolden, SwarmNoJitterDigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    auto config = swarm_config(26);
+    config.transfer_jitter = 0.0;
+    const auto result = swarm::run_swarm_sim(config);
+    EXPECT_EQ(result.fingerprint, 17318423644333228695ULL);
+    EXPECT_EQ(result.fingerprint_events, 2175U);
+#endif
+}
+
+TEST(FingerprintGolden, SwarmLeaveAfterFirstCompletionDigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    // The K = 8 half of PaperFigure4.SwarmSimTransition.
+    swarm::SwarmSimConfig config;
+    config.bundle_size = 8;
+    config.peer_arrival_rate = 1.0 / 150.0;
+    config.peer_capacity =
+        std::make_shared<swarm::HomogeneousCapacity>(33.0 * swarm::kKBps);
+    config.publisher_capacity = 50.0 * swarm::kKBps;
+    config.publisher = swarm::PublisherBehavior::kLeaveAfterFirstCompletion;
+    config.horizon = 1500.0;
+    config.seed = 27;
+    const auto result = swarm::run_swarm_sim(config);
+    EXPECT_EQ(result.fingerprint, 15446662542978854143ULL);
+    EXPECT_EQ(result.fingerprint_events, 2724U);
+#endif
+}
+
+TEST(FingerprintGolden, SwarmAlwaysOnSuperSeedingK8DigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    auto config = swarm::fig6_k8_config();
+    config.publisher = swarm::PublisherBehavior::kAlwaysOn;
+    config.super_seeding = true;
+    config.drain_after_horizon = false;
+    config.horizon = 600.0;
+    config.seed = 28;
+    const auto result = swarm::run_swarm_sim(config);
+    EXPECT_EQ(result.fingerprint, 1027721908014322950ULL);
+    EXPECT_EQ(result.fingerprint_events, 3819U);
+#endif
+}
+
+TEST(FingerprintGolden, SwarmReciprocityCapDigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    auto config = swarm_config(29);
+    config.peer_capacity = std::make_shared<swarm::BitTyrantCapacity>();
+    config.reciprocity_cap = true;
+    const auto result = swarm::run_swarm_sim(config);
+    EXPECT_EQ(result.fingerprint, 2163015457898767909ULL);
+    EXPECT_EQ(result.fingerprint_events, 2073U);
+#endif
+}
+
+TEST(FingerprintGolden, SwarmMultiWordPieceSetDigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    auto config = swarm_config(30);
+    config.pieces_per_file = 100;  // 200 pieces: four bitmap words
+    config.horizon = 2000.0;
+    const auto result = swarm::run_swarm_sim(config);
+    EXPECT_EQ(result.fingerprint, 11852043533736326044ULL);
+    EXPECT_EQ(result.fingerprint_events, 13054U);
+#endif
+}
+
+TEST(FingerprintGolden, SwarmLimitedVisibilityK8DigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    auto config = swarm::fig6_k8_config();
+    config.max_neighbors = 3;
+    config.drain_after_horizon = false;
+    config.horizon = 400.0;
+    config.seed = 31;
+    const auto result = swarm::run_swarm_sim(config);
+    EXPECT_EQ(result.fingerprint, 2200972006429736241ULL);
+    EXPECT_EQ(result.fingerprint_events, 1367U);
 #endif
 }
 

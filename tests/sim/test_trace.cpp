@@ -151,7 +151,8 @@ TEST(JsonlTraceSink, RoundTripsRecordsBitExactly) {
     ASSERT_EQ(parsed.annotations.size(), 2u);
     EXPECT_EQ(parsed.annotations[0].time, 7.25);
     EXPECT_EQ(parsed.annotations[0].text, note);
-    EXPECT_EQ(parsed.annotations[1].text, raw_byte);
+    // JSON text is UTF-8, so the writer replaces the stray byte with U+FFFD.
+    EXPECT_EQ(parsed.annotations[1].text, "not UTF-8: \xEF\xBF\xBD");
 }
 
 TEST(JsonlTraceSink, LineFormatIsPinned) {

@@ -1,10 +1,11 @@
-// Allocation gate for the swarm engine's event path: an exact work counter
-// on the measurement ladder. This executable replaces the global operator
+// Work gates for the swarm engine's event path: exact work counters on the
+// measurement ladder. This executable replaces the global operator
 // new/delete with counting versions, which is why it is not linked into
 // test_swarm. It runs one fixed-seed Figure 6(b) replication at K = 8, and
 // one limited-visibility run (tracker handouts and PEX), and bounds the
-// heap allocations per dispatched event. The count repeats exactly for a
-// seed, so the gate is deterministic where a timing is not.
+// heap allocations per dispatched event; the Figure 6(b) run also bounds
+// the pump passes per dispatched event. The counts repeat exactly for a
+// seed, so the gates are deterministic where a timing is not.
 //
 // The Figure 6(b) replication makes about 0.35 allocations per event. A
 // function-form require()/ensure() on the event path builds its message
@@ -12,6 +13,10 @@
 // and queue hot paths lift the count to about 113 per event. The
 // limited-visibility run makes about 0.78 per event; a node-based set per
 // peer's neighbor view (one heap node per edge) lifts it to about 2.8.
+//
+// The Figure 6(b) replication makes about 1.02 pump passes per event. An
+// engine that runs the confirming pass after every pass that started a
+// transfer, instead of replaying it, makes about 1.88.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,8 +26,10 @@
 #include <memory>
 #include <new>
 
+#include "fig6_config.hpp"
 #include "swarm/capacity.hpp"
 #include "swarm/swarm_sim.hpp"
+#include "util/metrics.hpp"
 
 namespace {
 
@@ -122,20 +129,34 @@ TEST(SwarmAllocationGate, Fig6K8ReplicationStaysUnderBound) {
 #if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
     GTEST_SKIP() << "the dispatched-event count comes from the fingerprint";
 #else
-    SwarmSimConfig config;
-    config.bundle_size = 8;
-    config.peer_arrival_rate = 1.0 / 60.0;
-    config.peer_capacity = std::make_shared<BitTyrantCapacity>();
-    config.publisher_capacity = 100.0 * kKBps;
-    config.publisher = PublisherBehavior::kOnOff;
-    config.publisher_on_mean = 300.0;
-    config.publisher_off_mean = 900.0;
-    config.horizon = 1200.0;
-    config.drain_after_horizon = true;
-    config.drain_deadline_factor = 3.0;
-    config.seed = 8009;
+    expect_allocations_under_bound(fig6_k8_config());
+#endif
+}
 
-    expect_allocations_under_bound(config);
+/// Upper bound on real pump passes per dispatched event. Nearly every
+/// event needs one pass; a second pass per event that started a transfer
+/// lifts the count past 1.8.
+constexpr double kMaxPumpPassesPerEvent = 1.1;
+
+TEST(SwarmPumpPassGate, Fig6K8ReplicationMakesOnePassPerEvent) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "the dispatched-event count comes from the fingerprint";
+#else
+    MetricsRegistry metrics;
+    SwarmSimConfig config = fig6_k8_config();
+    config.metrics = &metrics;
+    const SwarmSimResult result = run_swarm_sim(config);
+    const Counter* passes = metrics.find_counter("swarm.pump_passes");
+    ASSERT_NE(passes, nullptr);
+    ASSERT_GT(result.fingerprint_events, 1000U);
+    const double per_event = static_cast<double>(passes->value()) /
+                             static_cast<double>(result.fingerprint_events);
+    ::testing::Test::RecordProperty("pump_passes", static_cast<int>(passes->value()));
+    ::testing::Test::RecordProperty("events",
+                                    static_cast<int>(result.fingerprint_events));
+    EXPECT_LT(per_event, kMaxPumpPassesPerEvent)
+        << passes->value() << " pump passes over " << result.fingerprint_events
+        << " dispatched events";
 #endif
 }
 

@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "fig6_config.hpp"
 #include "swarm/piece_set.hpp"
 #include "swarm/swarm_sim.hpp"
 #include "util/check.hpp"
@@ -119,8 +120,10 @@ TEST(SwarmAudit, LimitedVisibilityRunStaysCleanUnderAudit) {
     EXPECT_GT(result.arrivals, 10u);
 }
 
-TEST(SwarmAudit, AuditModeDoesNotPerturbResults) {
-    auto config = base_config();
+/// Runs `config` with and without the audit and expects identical runs.
+/// The audit runs the pump's confirming pass for real where the plain run
+/// replays it, so equal digests and event counts show the replay exact.
+void expect_audit_neutral(SwarmSimConfig config) {
     config.debug_audit = false;
     const auto plain = run_swarm_sim(config);
     config.debug_audit = true;
@@ -129,6 +132,43 @@ TEST(SwarmAudit, AuditModeDoesNotPerturbResults) {
     EXPECT_EQ(plain.completions, audited.completions);
     EXPECT_DOUBLE_EQ(plain.available_fraction, audited.available_fraction);
     EXPECT_EQ(plain.completion_times, audited.completion_times);
+    EXPECT_EQ(plain.fingerprint, audited.fingerprint);
+    EXPECT_EQ(plain.fingerprint_events, audited.fingerprint_events);
+}
+
+TEST(SwarmAudit, AuditModeDoesNotPerturbResults) {
+    {
+        SCOPED_TRACE("on/off publisher, K = 2");
+        expect_audit_neutral(base_config());
+    }
+    {
+        SCOPED_TRACE("Figure 6(b), K = 8");
+        expect_audit_neutral(fig6_k8_config());
+    }
+    {
+        // A run whose digest moves if the replay skips the dormancy stamps:
+        // a stamped leecher can later lose an in-flight piece to a
+        // departing source and is then skipped until new pieces are offered.
+        SCOPED_TRACE("Figure 6(b), K = 2, seed 2000");
+        auto config = fig6_k8_config();
+        config.bundle_size = 2;
+        config.seed = 2000;
+        expect_audit_neutral(config);
+    }
+    {
+        SCOPED_TRACE("super-seeding");
+        auto config = base_config();
+        config.super_seeding = true;
+        expect_audit_neutral(config);
+    }
+    {
+        // Every pass starts with a free publisher slot until the swarm
+        // saturates it, so the dormancy skip is off in those passes.
+        SCOPED_TRACE("always-on publisher");
+        auto config = base_config();
+        config.publisher = PublisherBehavior::kAlwaysOn;
+        expect_audit_neutral(config);
+    }
 }
 
 }  // namespace

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/random.hpp"
 
 using swarmavail::JsonLimits;
 using swarmavail::JsonValue;
@@ -152,6 +156,57 @@ TEST(ServeJson, AppendJsonStringEscapes) {
     std::string out;
     swarmavail::append_json_string("a\"b\\c\nd\x01", out);
     EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+}
+
+TEST(ServeJson, AppendJsonStringReplacesIllFormedUtf8) {
+    const auto escaped = [](std::string_view text) {
+        std::string out;
+        swarmavail::append_json_string(text, out);
+        return out;
+    };
+    // Well-formed multi-byte sequences pass through unchanged.
+    EXPECT_EQ(escaped("caf\xc3\xa9 \xf0\x9f\x98\x80"),
+              "\"caf\xc3\xa9 \xf0\x9f\x98\x80\"");
+    // One U+FFFD per maximal ill-formed subpart: the example of the
+    // Unicode Standard, section 3.9 (a truncated 4-byte and 3-byte
+    // sequence, a lone lead, and stray continuation bytes).
+    EXPECT_EQ(escaped("a\xf1\x80\x80\xe1\x80\xc2" "b\x80" "c\x80\xbf" "d"),
+              "\"a\xef\xbf\xbd\xef\xbf\xbd\xef\xbf\xbd" "b\xef\xbf\xbd"
+              "c\xef\xbf\xbd\xef\xbf\xbd" "d\"");
+    // Overlong, surrogate and beyond-U+10FFFF forms fail at their second
+    // byte, so every byte is its own subpart.
+    EXPECT_EQ(escaped("\xc0\xaf"), "\"\xef\xbf\xbd\xef\xbf\xbd\"");
+    EXPECT_EQ(escaped("\xed\xa0\x80"), "\"\xef\xbf\xbd\xef\xbf\xbd\xef\xbf\xbd\"");
+    EXPECT_EQ(escaped("\xf4\x90"), "\"\xef\xbf\xbd\xef\xbf\xbd\"");
+    EXPECT_EQ(escaped("\xff"), "\"\xef\xbf\xbd\"");
+}
+
+TEST(ServeJson, AppendJsonStringOutputIsAlwaysUtf8) {
+    // Seeded random byte strings, biased toward the bytes that make or
+    // break UTF-8 sequences: every output is valid UTF-8 and parses back,
+    // and input that is already valid UTF-8 comes back unchanged.
+    constexpr std::array<unsigned char, 12> kInteresting = {
+        0x00, 0x22, 0x5c, 0x7f, 0x80, 0xbf, 0xc2, 0xdf, 0xe0, 0xed, 0xf0, 0xf4};
+    swarmavail::Rng rng{20260401};
+    std::size_t valid_inputs = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        std::string text(rng.uniform_index(12), '\0');
+        for (char& byte : text) {
+            const std::uint64_t pick = rng.uniform_index(3);
+            byte = static_cast<char>(pick == 0   ? kInteresting[rng.uniform_index(12)]
+                                     : pick == 1 ? 0x80 + rng.uniform_index(0x40)
+                                                 : rng.uniform_index(256));
+        }
+        std::string out;
+        swarmavail::append_json_string(text, out);
+        ASSERT_TRUE(swarmavail::validate_utf8(out)) << "trial " << trial;
+        const JsonValue back = parse_ok(out);
+        if (swarmavail::validate_utf8(text)) {
+            ++valid_inputs;
+            EXPECT_EQ(back.as_string(), text) << "trial " << trial;
+        }
+    }
+    EXPECT_GT(valid_inputs, 400U);  // the valid branch is exercised too
 }
 
 TEST(ServeJson, ExactUnsignedIntegersKeepEveryBit) {
