@@ -52,13 +52,13 @@ struct Peer {
     std::vector<TransferId> up_transfers{};       ///< transfers it serves
     std::vector<TransferId> down_transfers{};     ///< transfers it receives
 };
-// Peer::down_used, Peer::dormant_version and the free-uploader flag live
-// in a dense per-id side array on SwarmSim instead (hot_): each pump pass
-// reads the first two for every leecher and drops most of them right there
-// (slots full, or dormant), and source selection probes the
-// flag for every holder of the chosen piece. Packing these fields in one
-// flat record spares the pointer-chase into the heap-allocated Peer for
-// probes that never needed the rest of it.
+// Peer::down_used, Peer::dormant_version, the free-uploader flag and the
+// leeching flag live in a dense per-id side array on SwarmSim instead
+// (hot_): a pump pass reads the first two for each leecher it examines and
+// drops most of them right there (slots full, or dormant), and source
+// selection probes the free-uploader flag for every holder of the chosen
+// piece. Packing these fields in one flat record spares the pointer-chase
+// into the heap-allocated Peer for probes that never needed the rest of it.
 
 /// Drops one occurrence of `value` (order-insensitive swap-erase: every
 /// consumer of these lists snapshots and sorts before acting on them).
@@ -153,6 +153,9 @@ class SwarmSim {
         result_.completion_times.reserve(expected_arrivals);
         leechers_.reserve(expected_arrivals);
         pump_order_.reserve(expected_arrivals);
+        pump_candidates_.reserve(expected_arrivals);
+        pump_pick_.reserve(expected_arrivals);
+        touched_.reserve(expected_arrivals);
         peer_slots_.reserve(expected_arrivals);
         hot_.reserve(expected_arrivals);
         sim::PoissonProcess arrivals{queue_, rng_, aggregate_rate,
@@ -262,6 +265,7 @@ class SwarmSim {
         m_completions_ = &m.counter("swarm.completions");
         m_transfers_started_ = &m.counter("swarm.transfers_started");
         m_pump_passes_ = &m.counter("swarm.pump_passes");
+        m_pump_scans_ = &m.counter("swarm.pump_scans");
         m_transfers_completed_ = &m.counter("swarm.transfers_completed");
         m_transfers_cancelled_ = &m.counter("swarm.transfers_cancelled");
         m_publisher_up_ = &m.counter("swarm.publisher_up");
@@ -490,11 +494,14 @@ class SwarmSim {
         peer.record_index = result_.peers.size() - 1;
         if (peer_slots_.size() <= id) {
             peer_slots_.resize(id + 1);
-            hot_.resize(id + 1, PeerHot{UINT64_MAX, 0, 0});
+            hot_.resize(id + 1, PeerHot{UINT64_MAX, 0, 0, 0});
+            pump_pick_.resize(id + 1, 0);
         }
         peer_slots_[id] = std::make_unique<Peer>(std::move(peer));
         ++live_peers_;
         leechers_.push_back(id);
+        hot_[id].leeching = 1;
+        touched_.push_back(id);
         refresh_uploader_status(id);
         if (config_.max_neighbors > 0) {
             tracker_handout(id);
@@ -560,6 +567,7 @@ class SwarmSim {
         erase_value(dst.down_transfers, tid);
         --hot_[transfer.dst].down_used;
         dst.inflight.remove(transfer.piece);
+        touched_.push_back(transfer.dst);
 
         if (!dst.have.has(transfer.piece)) {
             dst.have.add(transfer.piece);
@@ -605,6 +613,7 @@ class SwarmSim {
 
         if (config_.peers_linger && config_.linger_mean > 0.0) {
             peer.seed_only = true;
+            hot_[id].leeching = 0;
             leechers_.erase(std::remove(leechers_.begin(), leechers_.end(), id),
                             leechers_.end());
             const double stay = rng_.exponential_mean(config_.linger_mean);
@@ -643,6 +652,7 @@ class SwarmSim {
         }
         leechers_.erase(std::remove(leechers_.begin(), leechers_.end(), id),
                         leechers_.end());
+        hot_[id].leeching = 0;
         peer_slots_[id].reset();
         --live_peers_;
         update_availability();
@@ -675,6 +685,7 @@ class SwarmSim {
                     erase_value(dst->down_transfers, tid);
                     --hot_[transfer.dst].down_used;
                     dst->inflight.remove(transfer.piece);
+                    touched_.push_back(transfer.dst);
                 }
                 if (transfer.src != kPublisher) {
                     Peer* src = find_peer(transfer.src);
@@ -785,55 +796,74 @@ class SwarmSim {
     /// is. A failing try draws no randomness under global visibility (a
     /// candidate piece always has a source), so the confirming pass has
     /// exactly two effects: its shuffle's draws, and stamping every leecher
-    /// with a free slot dormant when no publisher slot is free. Limited
-    /// visibility keeps the real loop: a failing try there runs pex_expand,
-    /// which draws and can grow views. Audit mode runs the confirming pass
-    /// for real and checks that it started nothing.
+    /// with a free slot dormant when no publisher slot is free. The stamps
+    /// are already in place when the first pass started with no free
+    /// publisher slot too (each such leecher was skipped as dormant, or its
+    /// last try failed and stamped it), so only a pass that used up the
+    /// publisher's last slot needs the stamp loop.
+    ///
+    /// The same argument makes the first pass event-driven. A pump that
+    /// ends with no free publisher slot ends settled: every leecher with a
+    /// free download slot is dormant at the current offer version. Only
+    /// three things can wake a leecher after that: its arrival, a download
+    /// slot freed by a completion or a cancel, or a version bump (new pieces
+    /// offered, or the publisher coming back, which also frees its slots).
+    /// The first two append the leecher to touched_. So when the last pump
+    /// ended settled, the version has not moved and no publisher slot is
+    /// free, the pass's candidates are exactly the touched leechers that
+    /// pass its filter, and no other leecher record needs reading. Limited
+    /// visibility keeps the real loop over every leecher: a failing try
+    /// there runs pex_expand, which draws and can grow views, and dormancy
+    /// is never used. Audit mode runs the confirming pass for real and
+    /// checks that it started nothing, and checks every touched pass's
+    /// candidates against the full filter.
     void pump() {
         SWARMAVAIL_PROF_SCOPE("swarm.choke_pump");
         if (config_.max_neighbors > 0) {
-            while (pump_pass()) {
+            while (pump_pass(/*touched_only=*/false)) {
             }
+            touched_.clear();
             return;
         }
-        if (!pump_pass()) {
-            return;
-        }
-        if (config_.debug_audit) {
-            const bool started = pump_pass();
-            SWARMAVAIL_INVARIANT(!started, "SwarmSim: the confirming pump pass started a "
-                                           "transfer");
-            return;
-        }
-        for (std::size_t i = leechers_.size(); i > 1; --i) {
-            (void)rng_.uniform_index(i);
-        }
-        if (!publisher_slot_free()) {
-            for (const PeerId id : leechers_) {
-                PeerHot& hot = hot_[id];
-                if (hot.down_used < config_.max_download_slots) {
-                    hot.dormant_version = offered_gain_version_;
+        const bool publisher_was_free = publisher_slot_free();
+        const bool touched_only = settled_ && !publisher_was_free &&
+                                  settled_version_ == offered_gain_version_;
+        if (pump_pass(touched_only)) {
+            if (config_.debug_audit) {
+                const bool started = pump_pass(/*touched_only=*/false);
+                SWARMAVAIL_INVARIANT(!started, "SwarmSim: the confirming pump pass started "
+                                               "a transfer");
+            } else {
+                discard_shuffle_draws(leechers_.size());
+                if (publisher_was_free && !publisher_slot_free()) {
+                    count_pump_scans(leechers_.size());
+                    for (const PeerId id : leechers_) {
+                        PeerHot& hot = hot_[id];
+                        if (hot.down_used < config_.max_download_slots) {
+                            hot.dormant_version = offered_gain_version_;
+                        }
+                    }
                 }
             }
         }
+        touched_.clear();
+        settled_ = !publisher_slot_free();
+        settled_version_ = offered_gain_version_;
     }
 
-    /// One pump pass: shuffles the leechers, compacts the order to the
-    /// peers the pass would try, and tries them. Returns true if it started
-    /// a transfer. The compaction is exact because a peer's filter inputs
-    /// (its own download slots and dormancy stamp; the offer version and
-    /// the pass-start publisher state are fixed for the pass) change only
-    /// during its own visit.
-    bool pump_pass() {
+    /// One pump pass: collects the leechers the pass would try, visits them
+    /// in the order a shuffle of all leechers puts them, and tries them.
+    /// Returns true if it started a transfer. With `touched_only` the
+    /// candidates come from touched_ (see pump()), otherwise from a filter
+    /// over every leecher. The candidate set is fixed at the pass start
+    /// because a peer's filter inputs (its own download slots and dormancy
+    /// stamp; the offer version and the pass-start publisher state are fixed
+    /// for the pass) change only during its own visit. The shuffle's draws
+    /// are always made, so the RNG stream does not depend on the path; with
+    /// at most one candidate the order is moot and only the draws are made.
+    bool pump_pass(bool touched_only) {
         if (m_pump_passes_ != nullptr) {
             m_pump_passes_->add();
-        }
-        // pump() never re-enters itself (event handlers are not run from
-        // inside it), so one scratch vector serves every pass.
-        pump_order_.assign(leechers_.begin(), leechers_.end());
-        const std::size_t n = pump_order_.size();
-        for (std::size_t i = n; i > 1; --i) {
-            std::swap(pump_order_[i - 1], pump_order_[rng_.uniform_index(i)]);
         }
         // Dormant peers (nothing new offered since their last failure) are
         // skipped only when peers are the only sources: a free publisher
@@ -841,22 +871,87 @@ class SwarmSim {
         const bool skip_dormant = config_.max_neighbors == 0 && !publisher_slot_free();
         const std::uint64_t version = offered_gain_version_;
         const std::size_t slots = config_.max_download_slots;
-        std::size_t kept = 0;
-        for (std::size_t j = 0; j < n; ++j) {
-            const PeerId id = pump_order_[j];
-            const PeerHot& hot = hot_[id];
-            const bool awake = !skip_dormant || hot.dormant_version != version;
-            pump_order_[kept] = id;
-            kept += static_cast<std::size_t>(hot.down_used < slots && awake);
+        const auto wants_try = [&](const PeerHot& hot) {
+            return hot.down_used < slots && (!skip_dormant || hot.dormant_version != version);
+        };
+        // pump() never re-enters itself (event handlers are not run from
+        // inside it), so one set of scratch vectors serves every pass.
+        std::vector<PeerId>& candidates = pump_candidates_;
+        candidates.clear();
+        if (touched_only) {
+            count_pump_scans(touched_.size());
+            for (const PeerId id : touched_) {
+                // Lingering seeds and departed peers can be on the list, and
+                // one leecher can be on it more than once.
+                const PeerHot& hot = hot_[id];
+                if (hot.leeching != 0 && pump_pick_[id] == 0 && wants_try(hot)) {
+                    pump_pick_[id] = 1;
+                    candidates.push_back(id);
+                }
+            }
+            if (config_.debug_audit) {
+                std::size_t awake = 0;
+                for (const PeerId id : leechers_) {
+                    const bool wanted = wants_try(hot_[id]);
+                    SWARMAVAIL_INVARIANT(wanted == (pump_pick_[id] != 0),
+                                         "SwarmSim: the touched pump pass and the full "
+                                         "filter disagree on a candidate");
+                    awake += wanted ? 1 : 0;
+                }
+                SWARMAVAIL_INVARIANT(awake == candidates.size(),
+                                     "SwarmSim: the touched pump pass picked a peer "
+                                     "that is not leeching");
+            }
+        } else {
+            count_pump_scans(leechers_.size());
+            for (const PeerId id : leechers_) {
+                if (wants_try(hot_[id])) {
+                    pump_pick_[id] = 1;
+                    candidates.push_back(id);
+                }
+            }
+        }
+        const std::size_t n = leechers_.size();
+        if (candidates.size() <= 1) {
+            discard_shuffle_draws(n);
+        } else {
+            pump_order_.assign(leechers_.begin(), leechers_.end());
+            for (std::size_t i = n; i > 1; --i) {
+                std::swap(pump_order_[i - 1], pump_order_[rng_.uniform_index(i)]);
+            }
+            std::size_t kept = 0;
+            for (std::size_t j = 0; j < n; ++j) {
+                const PeerId id = pump_order_[j];
+                pump_order_[kept] = id;
+                kept += pump_pick_[id];
+            }
+            candidates.assign(pump_order_.begin(),
+                              pump_order_.begin() + static_cast<std::ptrdiff_t>(kept));
+        }
+        for (const PeerId id : candidates) {
+            pump_pick_[id] = 0;
         }
         bool progress = false;
-        for (std::size_t j = 0; j < kept; ++j) {
-            const PeerId id = pump_order_[j];
+        for (const PeerId id : candidates) {
             while (hot_[id].down_used < slots && try_start_transfer(id)) {
                 progress = true;
             }
         }
         return progress;
+    }
+
+    /// Makes the uniform_index draws of a Fisher-Yates shuffle of `n`
+    /// elements without shuffling anything.
+    void discard_shuffle_draws(std::size_t n) {
+        for (std::size_t i = n; i > 1; --i) {
+            (void)rng_.uniform_index(i);
+        }
+    }
+
+    void count_pump_scans(std::size_t records) {
+        if (m_pump_scans_ != nullptr) {
+            m_pump_scans_->add(records);
+        }
     }
 
     [[nodiscard]] bool publisher_slot_free() const noexcept {
@@ -1023,29 +1118,44 @@ class SwarmSim {
     }
 
     bool start_transfer(std::size_t piece, PeerId dst_id) {
-        // Collect eligible sources: the publisher plus free holders of the
-        // piece, chosen uniformly.
-        std::vector<PeerId>& sources = source_candidates_;
-        sources.clear();
-        if (publisher_slot_free() && (!config_.super_seeding || holders_[piece] == 0)) {
-            sources.push_back(kPublisher);
-        }
+        // Eligible sources: the publisher, then the free holders of the
+        // piece in holder-list order, one drawn uniformly. The draw is made
+        // from their count and the drawn source found by walking the list,
+        // so no candidate list is built.
+        const bool publisher_eligible =
+            publisher_slot_free() && (!config_.super_seeding || holders_[piece] == 0);
         const Peer& dst_view = peer_at(dst_id);
-        for (PeerId src : holder_list_[piece]) {
-            if (src == dst_id) {
-                continue;
-            }
-            if (config_.max_neighbors > 0 && !is_neighbor(dst_view.neighbors, src)) {
-                continue;
-            }
-            if (hot_[src].free_uploader != 0) {
-                sources.push_back(src);
-            }
+        const auto eligible = [&](PeerId src) {
+            return src != dst_id && hot_[src].free_uploader != 0 &&
+                   (config_.max_neighbors == 0 || is_neighbor(dst_view.neighbors, src));
+        };
+        const std::vector<PeerId>& holders = holder_list_[piece];
+        std::size_t count = publisher_eligible ? 1 : 0;
+        if (config_.max_neighbors == 0) {
+            // The receiver lacks the piece, so it is not among the holders,
+            // and offered_count_ counts exactly the free ones.
+            count += offered_count_[piece];
+        } else {
+            count += static_cast<std::size_t>(
+                std::count_if(holders.begin(), holders.end(), eligible));
         }
-        if (sources.empty()) {
+        if (count == 0) {
             return false;
         }
-        const PeerId src_id = sources[rng_.uniform_index(sources.size())];
+        std::size_t rank = rng_.uniform_index(count);
+        PeerId src_id = kPublisher;
+        if (!publisher_eligible || rank != 0) {
+            rank -= publisher_eligible ? 1 : 0;
+            std::size_t j = 0;
+            for (;; ++j) {
+                SWARMAVAIL_INVARIANT(j < holders.size(),
+                                     "SwarmSim: fewer eligible sources than counted");
+                if (eligible(holders[j]) && rank-- == 0) {
+                    break;
+                }
+            }
+            src_id = holders[j];
+        }
         double capacity = src_id == kPublisher ? config_.publisher_capacity
                                                : peer_at(src_id).capacity;
         if (config_.reciprocity_cap && src_id != kPublisher) {
@@ -1129,8 +1239,18 @@ class SwarmSim {
         std::uint64_t dormant_version;  ///< offered_gain_version_ at last failed scan
         std::uint32_t down_used;        ///< busy download slots
         std::uint8_t free_uploader;     ///< nonzero iff online with a free upload slot
+        std::uint8_t leeching;          ///< nonzero iff on leechers_
     };
     std::vector<PeerHot> hot_;
+
+    /// Leechers that may have woken since the last pump: arrivals and the
+    /// receivers of completed or cancelled transfers. May hold duplicates,
+    /// lingering seeds and departed peers; every pump clears it.
+    std::vector<PeerId> touched_;
+    /// The last pump ended with no free publisher slot, so every leecher
+    /// with a free download slot was then dormant at settled_version_.
+    bool settled_ = false;
+    std::uint64_t settled_version_ = 0;
 
     bool publisher_on_ = false;
     bool publisher_departed_ = false;
@@ -1147,10 +1267,11 @@ class SwarmSim {
 
     // Scratch buffers reused across events (the per-event vector churn
     // showed up in the micro benches). Each has exactly one non-reentrant
-    // user: pump passes, source selection, tracker handouts and
-    // transfer-cancellation snapshots never nest with themselves.
+    // user: pump passes, tracker handouts and transfer-cancellation
+    // snapshots never nest with themselves.
     std::vector<PeerId> pump_order_;
-    std::vector<PeerId> source_candidates_;
+    std::vector<PeerId> pump_candidates_;
+    std::vector<std::uint8_t> pump_pick_;  ///< per id: in the current pass's candidates
     std::vector<PeerId> tracker_candidates_;
     std::vector<TransferId> cancel_snapshot_;
 
@@ -1160,6 +1281,7 @@ class SwarmSim {
     Counter* m_completions_ = nullptr;
     Counter* m_transfers_started_ = nullptr;
     Counter* m_pump_passes_ = nullptr;  ///< real pump passes (not replays)
+    Counter* m_pump_scans_ = nullptr;   ///< leecher records read by pump filters
     Counter* m_transfers_completed_ = nullptr;
     Counter* m_transfers_cancelled_ = nullptr;
     Counter* m_publisher_up_ = nullptr;

@@ -489,6 +489,26 @@ TEST(FingerprintGolden, SwarmLimitedVisibilityK8DigestIsPinned) {
 #endif
 }
 
+// Recorded before the swarm engine's pump read only the leechers touched
+// since the last pump. With one download slot every start fills the
+// receiver, and lingering seeds stay on the touched list after they stop
+// leeching, so a touched-list filter that keeps them, or misses a freed
+// slot, moves this digest.
+
+TEST(FingerprintGolden, SwarmSingleSlotLingeringDigestIsPinned) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "fingerprinting compiled out";
+#else
+    auto config = swarm::fig6_k8_config();
+    config.max_download_slots = 1;
+    config.peers_linger = true;
+    config.linger_mean = 60.0;
+    const auto result = swarm::run_swarm_sim(config);
+    EXPECT_EQ(result.fingerprint, 2209683454872496660ULL);
+    EXPECT_EQ(result.fingerprint_events, 10813U);
+#endif
+}
+
 TEST(FingerprintGolden, CatalogSmokeDigestIsPinned) {
 #if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
     GTEST_SKIP() << "fingerprinting compiled out";

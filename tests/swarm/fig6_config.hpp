@@ -1,6 +1,6 @@
 // The fixed-seed Figure 6(b) replication at K = 8 that several swarm tests
-// share: the fingerprint golden, the allocation and pump-pass gates, and
-// the audit-neutrality check.
+// share: the fingerprint goldens, the allocation, pump-pass and pump-scan
+// gates, and the audit-neutrality check.
 #pragma once
 
 #include <memory>

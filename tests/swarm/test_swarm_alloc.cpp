@@ -4,8 +4,9 @@
 // test_swarm. It runs one fixed-seed Figure 6(b) replication at K = 8, and
 // one limited-visibility run (tracker handouts and PEX), and bounds the
 // heap allocations per dispatched event; the Figure 6(b) run also bounds
-// the pump passes per dispatched event. The counts repeat exactly for a
-// seed, so the gates are deterministic where a timing is not.
+// the pump passes and the leecher records the pump reads per dispatched
+// event. The counts repeat exactly for a seed, so the gates are
+// deterministic where a timing is not.
 //
 // The Figure 6(b) replication makes about 0.35 allocations per event. A
 // function-form require()/ensure() on the event path builds its message
@@ -17,6 +18,11 @@
 // The Figure 6(b) replication makes about 1.02 pump passes per event. An
 // engine that runs the confirming pass after every pass that started a
 // transfer, instead of replaying it, makes about 1.88.
+//
+// The same run bounds the leecher records the pump reads per event
+// (counter swarm.pump_scans). An event-driven pass reads only the leechers
+// the events since the last pump touched, about 14.8 per event; a pump
+// whose every pass filters all leechers reads about 68.6.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -156,6 +162,33 @@ TEST(SwarmPumpPassGate, Fig6K8ReplicationMakesOnePassPerEvent) {
                                     static_cast<int>(result.fingerprint_events));
     EXPECT_LT(per_event, kMaxPumpPassesPerEvent)
         << passes->value() << " pump passes over " << result.fingerprint_events
+        << " dispatched events";
+#endif
+}
+
+/// Upper bound on leecher records read by the pump per dispatched event.
+/// The run averages about 85 leechers, so any pass that filters all of them
+/// on most events lifts the count far past it.
+constexpr double kMaxPumpScansPerEvent = 20.0;
+
+TEST(SwarmPumpScanGate, Fig6K8ReplicationReadsOnlyTouchedLeechers) {
+#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+    GTEST_SKIP() << "the dispatched-event count comes from the fingerprint";
+#else
+    MetricsRegistry metrics;
+    SwarmSimConfig config = fig6_k8_config();
+    config.metrics = &metrics;
+    const SwarmSimResult result = run_swarm_sim(config);
+    const Counter* scans = metrics.find_counter("swarm.pump_scans");
+    ASSERT_NE(scans, nullptr);
+    ASSERT_GT(result.fingerprint_events, 1000U);
+    const double per_event = static_cast<double>(scans->value()) /
+                             static_cast<double>(result.fingerprint_events);
+    ::testing::Test::RecordProperty("pump_scans", static_cast<int>(scans->value()));
+    ::testing::Test::RecordProperty("events",
+                                    static_cast<int>(result.fingerprint_events));
+    EXPECT_LT(per_event, kMaxPumpScansPerEvent)
+        << scans->value() << " leecher records read over " << result.fingerprint_events
         << " dispatched events";
 #endif
 }

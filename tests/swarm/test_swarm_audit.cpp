@@ -122,7 +122,8 @@ TEST(SwarmAudit, LimitedVisibilityRunStaysCleanUnderAudit) {
 
 /// Runs `config` with and without the audit and expects identical runs.
 /// The audit runs the pump's confirming pass for real where the plain run
-/// replays it, so equal digests and event counts show the replay exact.
+/// replays it, so equal digests and event counts show the replay exact. It
+/// also checks each touched-only pump pass against the full filter.
 void expect_audit_neutral(SwarmSimConfig config) {
     config.debug_audit = false;
     const auto plain = run_swarm_sim(config);
@@ -167,6 +168,16 @@ TEST(SwarmAudit, AuditModeDoesNotPerturbResults) {
         SCOPED_TRACE("always-on publisher");
         auto config = base_config();
         config.publisher = PublisherBehavior::kAlwaysOn;
+        expect_audit_neutral(config);
+    }
+    {
+        // Every start fills the receiver's only slot, and lingering seeds
+        // sit on the pump's touched list after they stop leeching.
+        SCOPED_TRACE("Figure 6(b), K = 8, one download slot, lingering");
+        auto config = fig6_k8_config();
+        config.max_download_slots = 1;
+        config.peers_linger = true;
+        config.linger_mean = 60.0;
         expect_audit_neutral(config);
     }
 }
